@@ -12,12 +12,9 @@ from .evolve import (
     BasisResolutionError,
     EvolutionState,
     InitialGaussian,
-    expectation_x,
-    expectation_x2,
     make_evolution,
     observables_series,
     project_by_quadrature,
-    project_centered_gaussian,
     project_shifted_gaussian,
     wavefunction_at,
 )

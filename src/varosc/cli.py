@@ -40,12 +40,18 @@ def _get(cfg: dict, path: str, default=None, required=False):
     return node
 
 
+def _is_number(val) -> bool:
+    """A finite JSON number (JSON's NaN and Infinity parse to non-finite floats)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
 def _num(cfg, path, kind=float, required=False, default=None, positive=False):
     val = _get(cfg, path, default=default, required=required)
     if val is None:
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"config field '{path}' must be a number, got {val!r}")
+    if not _is_number(val):
+        raise ConfigError(f"config field '{path}' must be a finite number, got {val!r}")
     if kind is int and not float(val).is_integer():
         raise ConfigError(f"config field '{path}' must be an integer, got {val!r}")
     val = kind(val)
@@ -72,10 +78,10 @@ def build_potential(cfg: dict) -> PolynomialPotential:
             return from_double_well(lam, a)
         if kind == "coeffs":
             coeffs = _get(cfg, "potential.coeffs", required=True)
-            if not isinstance(coeffs, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeffs
-            ):
-                raise ConfigError("config field 'potential.coeffs' must be a list of numbers")
+            if not isinstance(coeffs, list) or not all(_is_number(v) for v in coeffs):
+                raise ConfigError(
+                    "config field 'potential.coeffs' must be a list of finite numbers"
+                )
             return PolynomialPotential(tuple(float(v) for v in coeffs))
         if kind == "asym_demo":
             return asym_demo()
@@ -206,10 +212,8 @@ def _initial_states(cfg: dict) -> list[tuple[str, ev.InitialGaussian]]:
     widths = _get(cfg, "evolution.widths")
     if widths is None:
         widths = [_num(cfg, "evolution.width", required=True, positive=True)]
-    if not isinstance(widths, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in widths
-    ):
-        raise ConfigError("evolution.widths must be a list of positive numbers")
+    if not isinstance(widths, list) or not all(_is_number(v) and v > 0 for v in widths):
+        raise ConfigError("evolution.widths must be a list of positive finite numbers")
     states = []
     for w in widths:
         tag = "" if len(widths) == 1 else f"_w{w:g}"
@@ -226,32 +230,29 @@ def cmd_evolve(cfg: dict, args) -> int:
     if t_max < 0:
         raise ConfigError(f"evolution.t_max must be >= 0, got {t_max}")
     use_quadrature = bool(_get(cfg, "evolution.quadrature", default=False))
+    initial_states = _initial_states(cfg)
+    snap_times = _get(cfg, "evolution.snapshot_times", default=[])
+    if not isinstance(snap_times, list) or not all(_is_number(t) for t in snap_times):
+        raise ConfigError("evolution.snapshot_times must be a list of finite numbers")
+    x_lo = _num(cfg, "evolution.x_min", default=-10.0)
+    x_hi = _num(cfg, "evolution.x_max", default=10.0)
+    x_pts = _num(cfg, "evolution.x_points", kind=int, default=201, positive=True)
+    xs = np.linspace(x_lo, x_hi, x_pts)
+    times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
     report = sp.solve_spectrum(pot, n_dim, optimize_sigma=opt_sigma)
     basis = report.solution.config
     out = _outdir(cfg, args)
-    times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
-    snap_times = _get(cfg, "evolution.snapshot_times", default=[])
-    for tag, gauss in _initial_states(cfg):
-        if use_quadrature:
+    for tag, gauss in initial_states:
+        if use_quadrature or basis.sigma != 0.0 or basis.center != 0:
             c = ev.project_by_quadrature(gauss, basis)
-        elif gauss.x0 == 0.0 and basis.sigma == 0.0 and basis.center == 0:
-            c = ev.project_centered_gaussian(gauss, basis)
-        elif basis.sigma == 0.0 and basis.center == 0:
-            c = ev.project_shifted_gaussian(gauss, basis)
         else:
-            c = ev.project_by_quadrature(gauss, basis)
+            c = ev.project_shifted_gaussian(gauss, basis)
         state = ev.make_evolution(c, report.solution)
         x_mean, x2_mean = ev.observables_series(state, times)
         path = out / f"observables{tag}.csv"
         ev.write_observables_csv(path, times, x_mean, x2_mean, state.truncation_loss)
         print(f"evolve: wrote {path} (truncation_loss={state.truncation_loss:.3e})")
         for t_snap in snap_times:
-            if not isinstance(t_snap, (int, float)) or isinstance(t_snap, bool):
-                raise ConfigError("evolution.snapshot_times must be numbers")
-            x_lo = _num(cfg, "evolution.x_min", default=-10.0)
-            x_hi = _num(cfg, "evolution.x_max", default=10.0)
-            x_pts = _num(cfg, "evolution.x_points", kind=int, default=201, positive=True)
-            xs = np.linspace(x_lo, x_hi, x_pts)
             psi = ev.wavefunction_at(state, xs, float(t_snap))
             spath = out / f"wavefunction{tag}_t{t_snap:g}.csv"
             ev.write_wavefunction_csv(spath, xs, psi)
@@ -267,17 +268,6 @@ _COMMANDS = {
 }
 
 
-def _apply_thread_limit(threads: int | None):
-    if threads is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        pass  # BLAS keeps its defaults; results are identical either way
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="varosc",
@@ -290,9 +280,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", help="output directory (overrides output.dir)")
         p.add_argument("--levels", help="level range a..b for levels.csv")
-        p.add_argument("--threads", type=int, help="cap BLAS thread count")
     args = parser.parse_args(argv)
-    _apply_thread_limit(args.threads)
 
     try:
         cfg = json.loads(Path(args.config).read_text())

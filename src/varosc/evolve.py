@@ -1,11 +1,12 @@
 """Method of stationary states for Gaussian initial wave functions.
 
-An initial state is expanded in the oscillator basis (closed forms for
-centered and shifted Gaussians, Gauss-Hermite quadrature for anything else),
-rotated into the energy eigenbasis, and evolved by attaching phases
-exp(-i E_n t) with hbar = 1.  Observables are trigonometric double sums over
-Bohr frequencies E_n - E_l, so they are bounded for all times with no secular
-drift.
+An initial state is expanded in the oscillator basis (one closed-form
+recurrence for a Gaussian at any x0 in an unshifted basis, Gauss-Hermite
+quadrature for anything else), rotated into the energy eigenbasis, and evolved
+by attaching phases exp(-i E_n t) with hbar = 1.  Observables are the
+quadratic forms conj(z)^T M z of the amplitudes z_n = a_n exp(-i E_n t):
+trigonometric double sums over Bohr frequencies E_n - E_l, bounded for all
+times with no secular drift.
 """
 from __future__ import annotations
 
@@ -17,18 +18,15 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .eigen import EigenSolution
-from .oscbasis import BasisConfig, basis_functions, position_power_matrix
+from .oscbasis import BasisConfig, _hermite_rows, basis_functions, position_power_matrix
 
 __all__ = [
     "InitialGaussian",
     "EvolutionState",
     "BasisResolutionError",
-    "project_centered_gaussian",
     "project_shifted_gaussian",
     "project_by_quadrature",
     "make_evolution",
-    "expectation_x",
-    "expectation_x2",
     "wavefunction_at",
     "observables_series",
     "write_observables_csv",
@@ -38,6 +36,10 @@ __all__ = [
 # eigenmodes below this amplitude are dropped from observable double sums;
 # the induced error is bounded by sum(dropped |a_n|) * ||x^p|| over the block
 _MODE_CUTOFF = 1e-14
+
+# observables are evaluated over blocks of this many times, so the complex
+# amplitude matrix is at most _TIME_BLOCK x K however long the time grid is
+_TIME_BLOCK = 512
 
 _FMT = "{:.17g}"
 
@@ -58,53 +60,16 @@ class InitialGaussian:
     x0: float = 0.0
 
     def __post_init__(self):
-        if not self.width_param > 0.0:
+        if not (self.width_param > 0.0 and math.isfinite(self.width_param)):
             raise ValueError(
-                f"width parameter must be positive, got {self.width_param}"
+                f"width parameter must be positive and finite, got {self.width_param}"
             )
+        if not math.isfinite(self.x0):
+            raise ValueError(f"packet center must be finite, got {self.x0}")
 
     def __call__(self, x):
         pref = (self.width_param / (2.0 * math.pi)) ** 0.25
         return pref * np.exp(-self.width_param * (np.asarray(x, float) - self.x0) ** 2 / 4.0)
-
-
-def _require_plain_basis(basis: BasisConfig, what: str):
-    if basis.sigma != 0.0 or basis.center != 0:
-        raise ValueError(
-            f"{what} assumes an unshifted, uncentered basis "
-            f"(sigma={basis.sigma}, center={basis.center}); "
-            "project by quadrature instead"
-        )
-
-
-def project_centered_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarray:
-    """Expansion coefficients of a centered Gaussian; odd entries vanish.
-
-    The overlap integrals collapse (binomial theorem on the Hermite-expansion
-    sum) to the cumulative product
-
-        c_0 = sqrt(2) (w0 * omega)^(1/4) / beta,
-        c_{2l} / c_{2(l-1)} = t * sqrt((2l-1) / (2l)),
-
-    with w0 = width/2, beta^2 = w0 + omega and t = (omega - w0)/beta^2.  The
-    product form evaluates every coefficient to machine precision; the raw
-    alternating sum loses all significance beyond 2l ~ 30 and is kept only as
-    a low-order cross-check in the tests.
-    """
-    _require_plain_basis(basis, "the centered closed form")
-    if g.x0 != 0.0:
-        raise ValueError(f"centered projection requires x0 = 0, got x0={g.x0}")
-    w0 = g.width_param / 2.0
-    omega = basis.omega
-    beta2 = w0 + omega
-    t = (omega - w0) / beta2
-    c = np.zeros(basis.dim)
-    c[0] = math.sqrt(2.0) * (w0 * omega) ** 0.25 / math.sqrt(beta2)
-    val = c[0]
-    for l in range(1, (basis.dim - 1) // 2 + 1):
-        val *= t * math.sqrt((2 * l - 1) / (2.0 * l))
-        c[2 * l] = val
-    return c
 
 
 def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarray:
@@ -122,10 +87,16 @@ def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarr
 
     This is the double hypergeometric-style overlap sum collapsed through the
     Hermite generating function; for omega > w0 every recurrence coefficient
-    is positive, so there is no cancellation at any order.  Reduces to the
-    centered product form when x0 = 0.
+    is positive, so there is no cancellation at any order.  A centered
+    Gaussian (x0 = 0) has v = 0, so its odd coefficients are exactly zero and
+    the even ones follow the product c_{2l} = t sqrt((2l-1)/(2l)) c_{2l-2}.
     """
-    _require_plain_basis(basis, "the shifted closed form")
+    if basis.sigma != 0.0 or basis.center != 0:
+        raise ValueError(
+            "the Gaussian closed form assumes an unshifted, uncentered basis "
+            f"(sigma={basis.sigma}, center={basis.center}); "
+            "project by quadrature instead"
+        )
     w0 = g.width_param / 2.0
     omega = basis.omega
     beta2 = w0 + omega
@@ -159,13 +130,8 @@ def project_by_quadrature(psi0, basis: BasisConfig, n_nodes: int | None = None) 
     alpha = math.sqrt(basis.omega)
     y, w = roots_hermite(n_nodes)
     x = y / alpha
-    # p_n(y) = phi_n(x) e^{y^2/2} / sqrt(alpha): polynomial recurrence
-    p = np.zeros((basis.center + basis.dim, y.size))
-    p[0] = math.pi**-0.25
-    if p.shape[0] > 1:
-        p[1] = math.sqrt(2.0) * y * p[0]
-    for n in range(1, p.shape[0] - 1):
-        p[n + 1] = y * math.sqrt(2.0 / (n + 1)) * p[n] - math.sqrt(n / (n + 1.0)) * p[n - 1]
+    # p_n(y) = phi_n(x) e^{y^2/2} / sqrt(alpha): the Hermite polynomial parts
+    p = _hermite_rows(basis.center + basis.dim, y, np.full(y.size, math.pi**-0.25))
     samples = np.asarray(psi0(x + basis.sigma), dtype=float)
     t = w * np.exp(y * y / 2.0) * samples
     c = (p[basis.center:, :] @ t) / math.sqrt(alpha)
@@ -182,10 +148,11 @@ class EvolutionState:
     """Eigenbasis amplitudes plus everything needed to evaluate observables.
 
     a[n] are the (real, t = 0) amplitudes on eigenstates, energies/eigvectors
-    come from the diagonalization, and truncation_loss = 1 - sum a^2 is the
-    probability weight the finite basis could not capture.  x_mat and x2_mat
-    are the position and position-squared operators rotated into the
-    eigenbasis once at construction.
+    come from the diagonalization, and truncation_loss = max(0, 1 - sum a^2)
+    is the probability weight the finite basis could not capture (clamped,
+    since a fully resolved state can carry 1 + O(eps) after rounding).  x_mat
+    and x2_mat are the position and position-squared operators rotated into
+    the eigenbasis once at construction.
     """
 
     a: np.ndarray
@@ -238,7 +205,7 @@ def make_evolution(c: np.ndarray, sol: EigenSolution) -> EvolutionState:
         energies=sol.energies.copy(),
         eigvectors=d.copy(),
         basis=cfg,
-        truncation_loss=float(1.0 - np.dot(a, a)),
+        truncation_loss=max(0.0, float(1.0 - np.dot(a, a))),
         x_mat=d @ x1 @ d.T,
         x2_mat=d @ x2 @ d.T,
     )
@@ -252,43 +219,39 @@ def _active(state: EvolutionState):
     return keep
 
 
-def _expectation(state: EvolutionState, mat: np.ndarray, t: float) -> float:
-    keep = _active(state)
-    z = state.a[keep] * np.exp(-1j * state.energies[keep] * t)
-    m = mat[np.ix_(keep, keep)]
-    val = np.conj(z) @ m @ z
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1.0):
+def _quadratic_form(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Re(conj(z_t)^T M z_t) for every row z_t of z; M real symmetric.
+
+    For symmetric M the imaginary part cancels to roundoff at every time; one
+    that does not cancel at any time means M was not symmetric.
+    """
+    val = np.einsum("ti,ti->t", z @ m, np.conj(z))
+    if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val.real), 1.0)):
         raise AssertionError(
-            f"imaginary part {val.imag:.3e} failed to cancel in an observable"
+            f"imaginary part {np.max(np.abs(val.imag)):.3e} failed to cancel in an observable"
         )
-    return float(val.real)
-
-
-def expectation_x(state: EvolutionState, t: float) -> float:
-    """<x>(t) in the original coordinate (basis shift added back)."""
-    return _expectation(state, state.x_mat, t) + state.basis.sigma
-
-
-def expectation_x2(state: EvolutionState, t: float) -> float:
-    """<x^2>(t) in the original coordinate."""
-    val = _expectation(state, state.x2_mat, t)
-    s = state.basis.sigma
-    if s != 0.0:
-        val += 2.0 * s * _expectation(state, state.x_mat, t) + s * s
-    return val
+    return val.real
 
 
 def observables_series(state: EvolutionState, times: np.ndarray):
-    """<x>(t) and <x^2>(t) over a time grid in one pass."""
-    times = np.asarray(times, dtype=float)
+    """<x>(t) and <x^2>(t) in the original coordinate over a time grid.
+
+    Modes with |a_n| below _MODE_CUTOFF are dropped, and the times are taken
+    in blocks of _TIME_BLOCK so memory stays bounded for any grid length.
+    """
+    times = np.asarray(times, dtype=float).ravel()
     keep = _active(state)
     a = state.a[keep]
     e = state.energies[keep]
     mx = state.x_mat[np.ix_(keep, keep)]
     mx2 = state.x2_mat[np.ix_(keep, keep)]
-    z = a[None, :] * np.exp(-1j * np.outer(times, e))
-    x_mean = np.einsum("ti,ij,tj->t", np.conj(z), mx, z).real
-    x2_mean = np.einsum("ti,ij,tj->t", np.conj(z), mx2, z).real
+    x_mean = np.empty(times.size)
+    x2_mean = np.empty(times.size)
+    for lo in range(0, times.size, _TIME_BLOCK):
+        block = slice(lo, lo + _TIME_BLOCK)
+        z = a * np.exp(-1j * np.outer(times[block], e))
+        x_mean[block] = _quadratic_form(z, mx)
+        x2_mean[block] = _quadratic_form(z, mx2)
     s = state.basis.sigma
     if s != 0.0:
         x2_mean = x2_mean + 2.0 * s * x_mean + s * s

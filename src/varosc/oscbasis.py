@@ -58,8 +58,10 @@ class BasisConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"basis dimension must be >= 1, got {self.dim}")
-        if not self.omega > 0.0:
-            raise ValueError(f"basis frequency must be positive, got {self.omega}")
+        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+            raise ValueError(f"basis frequency must be positive and finite, got {self.omega}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"basis shift must be finite, got {self.sigma}")
         if self.center < 0:
             raise ValueError(f"basis center must be >= 0, got {self.center}")
 
@@ -239,30 +241,35 @@ def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> Hamilton
     return HamiltonianMatrix(entries=h, config=cfg, potential=pot)
 
 
+def _hermite_rows(nmax: int, y: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """Rows h_0..h_{nmax-1} of the normalized Hermite recurrence at points y.
+
+        h_1(y) = sqrt(2) y h_0(y),
+        h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y),
+
+    started from the caller's row h0: pi^(-1/4) exp(-y^2/2) gives the
+    Hermite functions, pi^(-1/4) alone their polynomial parts.  No
+    factorials are formed, and every row stays O(1) times h0.
+    """
+    vals = np.zeros((nmax, y.size))
+    vals[0] = h0
+    if nmax > 1:
+        vals[1] = math.sqrt(2.0) * y * vals[0]
+        for n in range(1, nmax - 1):
+            vals[n + 1] = y * math.sqrt(2.0 / (n + 1)) * vals[n] - math.sqrt(n / (n + 1.0)) * vals[n - 1]
+    return vals
+
+
 def basis_functions(nmax: int, omega: float, x) -> np.ndarray:
     """Values phi_n(x) for n = 0..nmax-1, shape (nmax, len(x)).
 
-    Uses the normalized three-term recurrence
-
-        h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y)
-
-    on h_n(y) = phi_n(x)/sqrt(alpha), y = alpha x, which keeps every
-    intermediate O(1); no factorials are formed.
+    phi_n(x) = sqrt(alpha) h_n(alpha x), with h_n the normalized Hermite
+    functions from the three-term recurrence of _hermite_rows.
     """
     _check_omega(omega)
     alpha = math.sqrt(omega)
     y = alpha * np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.zeros((nmax, y.size))
-    h_prev = math.pi**-0.25 * np.exp(-0.5 * y * y)
-    vals[0] = h_prev
-    if nmax > 1:
-        h_cur = math.sqrt(2.0) * y * h_prev
-        vals[1] = h_cur
-        for n in range(1, nmax - 1):
-            h_next = y * math.sqrt(2.0 / (n + 1)) * h_cur - math.sqrt(n / (n + 1.0)) * h_prev
-            vals[n + 1] = h_next
-            h_prev, h_cur = h_cur, h_next
-    return math.sqrt(alpha) * vals
+    return math.sqrt(alpha) * _hermite_rows(nmax, y, math.pi**-0.25 * np.exp(-0.5 * y * y))
 
 
 def basis_function_value(n: int, omega: float, x) -> float | np.ndarray:

@@ -234,7 +234,6 @@ def _largest_turning_point(pot: PolynomialPotential) -> float:
 
 
 def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
-                 init: tuple[float, float] | None = None,
                  center: int = 0) -> PmsResult:
     """Stationary point of the truncated trace over omega (and optionally sigma).
 
@@ -258,13 +257,7 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     def f1(logw):
         return trace(pot, BasisConfig(dim=N, omega=math.exp(logw), center=center))
 
-    if init is not None:
-        w0 = float(init[0])
-        if not w0 > 0:
-            raise ValueError("initial frequency must be positive")
-        log_lo, log_hi = math.log(w0) - 5.0, math.log(w0) + 5.0
-    else:
-        log_lo, log_hi = math.log(1e-4), math.log(1e6)
+    log_lo, log_hi = math.log(1e-4), math.log(1e6)
     bracket = _grid_then_golden(f1, log_lo, log_hi)
     if bracket is None:
         raise ConvergenceError(
@@ -293,8 +286,6 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     log_ws = np.linspace(math.log(0.1 * omega_star), math.log(10.0 * omega_star), 5)
     sigmas = np.linspace(-x_range, x_range, 5) if x_range > 0 else np.zeros(5)
     starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
-    if init is not None:
-        starts.append(np.array([math.log(float(init[0])), float(init[1])]))
 
     candidates = []
     for z0 in starts:

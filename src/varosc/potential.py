@@ -33,6 +33,10 @@ class PolynomialPotential:
 
     def __post_init__(self):
         c = [float(v) for v in self.coeffs]
+        # one sum is non-finite whenever any term is; shift() builds
+        # thousands of potentials per PMS search, so this stays one call
+        if not math.isfinite(sum(c)):
+            raise ValueError(f"potential coefficients must be finite, got {tuple(c)}")
         while c and c[-1] == 0.0:
             c.pop()
         if len(c) < 3:

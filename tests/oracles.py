@@ -80,6 +80,30 @@ def literal_centered_coeffs(width: float, omega: float, dim: int) -> np.ndarray:
     return c
 
 
+def centered_product_coeffs(width: float, omega: float, dim: int) -> np.ndarray:
+    """Centered-Gaussian coefficients from the cumulative product form.
+
+    The alternating overlap sum collapses (binomial theorem on the
+    Hermite-expansion sum) to
+
+        c_0 = sqrt(2) (w0 omega)^(1/4) / beta,
+        c_{2l} / c_{2(l-1)} = t sqrt((2l-1) / (2l)),
+
+    with w0 = width/2, beta^2 = w0 + omega and t = (omega - w0)/beta^2; odd
+    coefficients vanish.  Accurate to machine precision at every order.
+    """
+    w0 = width / 2.0
+    beta2 = w0 + omega
+    t = (omega - w0) / beta2
+    c = np.zeros(dim)
+    c[0] = math.sqrt(2.0) * (w0 * omega) ** 0.25 / math.sqrt(beta2)
+    val = c[0]
+    for l in range(1, (dim - 1) // 2 + 1):
+        val *= t * math.sqrt((2 * l - 1) / (2.0 * l))
+        c[2 * l] = val
+    return c
+
+
 def literal_shifted_coeffs(width: float, x0: float, omega: float, dim: int) -> np.ndarray:
     """The raw double overlap sum for a Gaussian centered at x0.
 

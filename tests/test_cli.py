@@ -117,6 +117,36 @@ def test_unbounded_potential_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+_EVOLVE_CFG = {
+    "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
+    "solver": {"dim": 20},
+    "evolution": {"initial": "shifted", "x0": 1.0, "width": 0.5,
+                  "t_max": 1.0, "t_step": 0.5},
+}
+
+
+@pytest.mark.parametrize("block, patch", [
+    ("potential", {"kind": "coeffs", "coeffs": [0.0, math.nan, 1.0]}),
+    ("potential", {"kind": "coeffs", "coeffs": [0.0, 0.0, math.inf]}),
+    ("potential", {"kind": "quartic", "m2": 1.0, "g": math.nan}),
+    ("potential", {"lambda": math.inf}),
+    ("solver", {"dim": math.nan}),
+    ("evolution", {"t_max": math.nan}),
+    ("evolution", {"t_step": math.inf}),
+    ("evolution", {"x0": -math.inf}),
+    ("evolution", {"widths": [0.5, math.nan]}),
+    ("evolution", {"snapshot_times": [0.0, math.inf]}),
+    ("evolution", {"x_max": math.nan}),
+])
+def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
+    cfg = json.loads(json.dumps(_EVOLVE_CFG))
+    cfg[block].update(patch)
+    path = write_config(tmp_path, cfg)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path, {
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,20 +12,17 @@ from varosc import (
     assemble_hamiltonian,
     basis_functions,
     diagonalize,
-    expectation_x,
-    expectation_x2,
     from_double_well,
     from_quartic,
     make_evolution,
     observables_series,
     project_by_quadrature,
-    project_centered_gaussian,
     project_shifted_gaussian,
     solve_spectrum,
     wavefunction_at,
 )
 
-from oracles import literal_centered_coeffs, literal_shifted_coeffs
+from oracles import centered_product_coeffs, literal_centered_coeffs, literal_shifted_coeffs
 
 DW_MASS = math.sqrt(1.0 / 24.0)  # slow-roll double-well mass for a=5, lam=0.01
 DWELL = from_double_well(0.01, 5.0)
@@ -32,12 +30,7 @@ DWELL = from_double_well(0.01, 5.0)
 
 def slowroll_state(dim=60, width=DW_MASS, x0=0.0):
     rep = solve_spectrum(DWELL, dim)
-    gauss = InitialGaussian(width, x0)
-    basis = rep.solution.config
-    if x0 == 0.0:
-        c = project_centered_gaussian(gauss, basis)
-    else:
-        c = project_shifted_gaussian(gauss, basis)
+    c = project_shifted_gaussian(InitialGaussian(width, x0), rep.solution.config)
     return make_evolution(c, rep.solution), rep
 
 
@@ -45,14 +38,14 @@ def slowroll_state(dim=60, width=DW_MASS, x0=0.0):
 
 def test_matched_width_is_pure_ground_state():
     basis = BasisConfig(dim=20, omega=0.35)
-    c = project_centered_gaussian(InitialGaussian(2.0 * basis.omega), basis)
+    c = project_shifted_gaussian(InitialGaussian(2.0 * basis.omega), basis)
     assert c[0] == pytest.approx(1.0, rel=1e-14)
     assert np.max(np.abs(c[1:])) < 1e-14
 
 
 def test_centered_coefficients_vanish_for_odd_index():
     basis = BasisConfig(dim=31, omega=1.0)
-    c = project_centered_gaussian(InitialGaussian(0.7), basis)
+    c = project_shifted_gaussian(InitialGaussian(0.7), basis)
     assert np.all(c[1::2] == 0.0)
 
 
@@ -64,7 +57,7 @@ def test_centered_matches_quadrature_elementwise():
         width = 2.0 * omega / ratio  # packet width parameter
         basis = BasisConfig(dim=80, omega=omega)
         gauss = InitialGaussian(width)
-        closed = project_centered_gaussian(gauss, basis)
+        closed = project_shifted_gaussian(gauss, basis)
         quad = project_by_quadrature(gauss, basis, n_nodes=300)
         assert np.max(np.abs(closed - quad)) < 1e-10
 
@@ -73,14 +66,14 @@ def test_centered_completeness_deficit():
     m = DW_MASS
     for ratio in (0.2, 0.5, 2.0, 5.0):
         basis = BasisConfig(dim=60, omega=ratio * m / 2.0)
-        c = project_centered_gaussian(InitialGaussian(m), basis)
+        c = project_shifted_gaussian(InitialGaussian(m), basis)
         assert np.sum(c * c) >= 1.0 - 1e-10
         assert np.sum(c * c) <= 1.0 + 1e-12
 
 
 def test_centered_agrees_with_literal_sum_at_low_order():
     basis = BasisConfig(dim=24, omega=0.48)
-    c = project_centered_gaussian(InitialGaussian(DW_MASS), basis)
+    c = project_shifted_gaussian(InitialGaussian(DW_MASS), basis)
     lit = literal_centered_coeffs(DW_MASS, basis.omega, basis.dim)
     assert np.max(np.abs(c - lit)) < 1e-10
 
@@ -89,7 +82,7 @@ def test_shifted_reduces_to_centered_at_origin():
     basis = BasisConfig(dim=50, omega=0.9)
     g = InitialGaussian(0.4, 0.0)
     np.testing.assert_allclose(project_shifted_gaussian(g, basis),
-                               project_centered_gaussian(g, basis),
+                               centered_product_coeffs(0.4, basis.omega, basis.dim),
                                rtol=0, atol=1e-15)
 
 
@@ -138,15 +131,19 @@ def test_slowroll_shifted_completeness():
 
 
 def test_closed_forms_reject_shifted_or_centered_bases():
-    g = InitialGaussian(1.0)
+    for g in (InitialGaussian(1.0), InitialGaussian(1.0, 2.0)):
+        with pytest.raises(ValueError):
+            project_shifted_gaussian(g, BasisConfig(dim=8, omega=1.0, sigma=0.5))
+        with pytest.raises(ValueError):
+            project_shifted_gaussian(g, BasisConfig(dim=8, omega=1.0, center=2))
+
+
+@pytest.mark.parametrize("width, x0", [
+    (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+])
+def test_initial_gaussian_rejects_non_finite(width, x0):
     with pytest.raises(ValueError):
-        project_centered_gaussian(g, BasisConfig(dim=8, omega=1.0, sigma=0.5))
-    with pytest.raises(ValueError):
-        project_centered_gaussian(g, BasisConfig(dim=8, omega=1.0, center=2))
-    with pytest.raises(ValueError):
-        project_shifted_gaussian(g, BasisConfig(dim=8, omega=1.0, sigma=0.5))
-    with pytest.raises(ValueError):
-        project_centered_gaussian(InitialGaussian(1.0, 2.0), BasisConfig(dim=8, omega=1.0))
+        InitialGaussian(width, x0)
 
 
 def test_quadrature_projects_basis_function_to_unit_vector():
@@ -178,21 +175,21 @@ def test_identity_rotation_for_matched_sho():
     m = 1.3
     pot = PolynomialPotential((0.0, 0.0, m * m / 2.0))
     sol = diagonalize(assemble_hamiltonian(pot, BasisConfig(dim=25, omega=m)))
-    c = project_centered_gaussian(InitialGaussian(0.9), sol.config)
+    c = project_shifted_gaussian(InitialGaussian(0.9), sol.config)
     state = make_evolution(c, sol)
     np.testing.assert_allclose(state.a, c, atol=1e-13)
 
 
 def test_rotation_is_isometric():
     state, rep = slowroll_state(40)
-    c = project_centered_gaussian(InitialGaussian(DW_MASS), rep.solution.config)
+    c = project_shifted_gaussian(InitialGaussian(DW_MASS), rep.solution.config)
     assert float(np.sum(state.a**2)) == pytest.approx(float(np.sum(c**2)), rel=1e-12)
     assert state.truncation_loss == pytest.approx(1.0 - float(np.sum(c**2)), abs=1e-12)
 
 
 def test_rotation_matches_linear_solve():
     rep = solve_spectrum(from_quartic(1.0, 1000.0), 40)
-    c = project_centered_gaussian(InitialGaussian(30.0), rep.solution.config)
+    c = project_shifted_gaussian(InitialGaussian(30.0), rep.solution.config)
     state = make_evolution(c, rep.solution)
     # the printed inversion: a solves c = d^T a
     a_solve = np.linalg.solve(rep.solution.vectors.T, c)
@@ -220,22 +217,25 @@ def test_rotation_rejects_broken_orthonormality():
 
 def test_initial_second_moment_is_gaussian_variance():
     state, _ = slowroll_state(80)
-    assert expectation_x2(state, 0.0) == pytest.approx(1.0 / DW_MASS, rel=1e-10)
-    assert expectation_x2(state, 0.0) == pytest.approx(2.0 * math.sqrt(6.0), rel=1e-6)
+    x2_0 = observables_series(state, [0.0])[1][0]
+    assert x2_0 == pytest.approx(1.0 / DW_MASS, rel=1e-10)
+    assert x2_0 == pytest.approx(2.0 * math.sqrt(6.0), rel=1e-6)
 
 
 def test_sho_breathing_mode_period():
     m = 1.1
     pot = PolynomialPotential((0.0, 0.0, m * m / 2.0))
     rep = solve_spectrum(pot, 40)
-    c = project_centered_gaussian(InitialGaussian(3.7 * m), rep.solution.config)
+    c = project_shifted_gaussian(InitialGaussian(3.7 * m), rep.solution.config)
     state = make_evolution(c, rep.solution)
     period = math.pi / m  # breathing frequency 2m
-    for t in (0.0, 0.42, 1.9):
-        assert expectation_x2(state, t + period) == pytest.approx(
-            expectation_x2(state, t), rel=1e-8)
+    ts = np.array([0.0, 0.42, 1.9])
+    _, x2 = observables_series(state, ts)
+    _, x2_later = observables_series(state, ts + period)
+    assert x2_later == pytest.approx(x2, rel=1e-8)
     # and it genuinely oscillates
-    assert abs(expectation_x2(state, period / 2) - expectation_x2(state, 0.0)) > 1e-3
+    _, (x2_0, x2_half) = observables_series(state, [0.0, period / 2])
+    assert abs(x2_half - x2_0) > 1e-3
 
 
 def test_second_moment_positive_at_random_times():
@@ -248,29 +248,44 @@ def test_second_moment_positive_at_random_times():
 
 def test_time_reversal_symmetry():
     state, _ = slowroll_state(40)
-    for t in (0.3, 7.7, 123.0):
-        assert expectation_x2(state, t) == pytest.approx(expectation_x2(state, -t),
-                                                         rel=1e-12)
+    ts = np.array([0.3, 7.7, 123.0])
+    assert observables_series(state, ts)[1] == pytest.approx(
+        observables_series(state, -ts)[1], rel=1e-12)
 
 
 def test_mean_position_of_shifted_packet():
     state, _ = slowroll_state(80, width=2 * DW_MASS, x0=5.0)
-    assert expectation_x(state, 0.0) == pytest.approx(5.0, abs=1e-8)
+    assert observables_series(state, [0.0])[0][0] == pytest.approx(5.0, abs=1e-8)
 
 
 def test_mean_position_stays_zero_in_symmetric_well():
     state, _ = slowroll_state(60)
-    for t in (0.0, 3.0, 50.0, 200.0):
-        assert abs(expectation_x(state, t)) < 1e-9
+    x_mean, _ = observables_series(state, [0.0, 3.0, 50.0, 200.0])
+    assert np.all(np.abs(x_mean) < 1e-9)
 
 
 def test_series_matches_pointwise_evaluations():
-    state, _ = slowroll_state(30)
-    ts = np.array([0.0, 1.5, 20.0])
+    # independent all-modes sum sum_ij a_i a_j M_ij cos((E_i - E_j) t) on a
+    # grid of more than two time blocks whose length is not a block multiple,
+    # so an error at a block boundary shows
+    state, _ = slowroll_state(40, x0=5.0)
+    ts = np.linspace(0.0, 400.0, 1301)
     x_mean, x2_mean = observables_series(state, ts)
-    for k, t in enumerate(ts):
-        assert x_mean[k] == pytest.approx(expectation_x(state, t), rel=1e-12, abs=1e-12)
-        assert x2_mean[k] == pytest.approx(expectation_x2(state, t), rel=1e-12)
+    aa = np.outer(state.a, state.a)
+    phase = np.cos(np.subtract.outer(state.energies, state.energies)[None] * ts[:, None, None])
+    want_x = np.einsum("ij,tij->t", aa * state.x_mat, phase)
+    want_x2 = np.einsum("ij,tij->t", aa * state.x2_mat, phase)
+    assert x_mean == pytest.approx(want_x, rel=1e-12, abs=1e-12)
+    assert x2_mean == pytest.approx(want_x2, rel=1e-12)
+
+
+def test_series_rejects_asymmetric_operator():
+    state, _ = slowroll_state(30, x0=5.0)
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=state.x_mat.shape)
+    bad = dataclasses.replace(state, x_mat=state.x_mat + 1e-6 * (skew - skew.T))
+    with pytest.raises(AssertionError):
+        observables_series(bad, np.linspace(0.0, 100.0, 600))
 
 
 def test_mode_dropping_matches_full_sum():
@@ -279,15 +294,14 @@ def test_mode_dropping_matches_full_sum():
     m = 0.9
     pot = PolynomialPotential((0.0, 0.0, m * m / 2.0))
     rep = solve_spectrum(pot, 30)
-    c = project_centered_gaussian(InitialGaussian(2 * m * (1 + 1e-10)), rep.solution.config)
+    c = project_shifted_gaussian(InitialGaussian(2 * m * (1 + 1e-10)), rep.solution.config)
     state = make_evolution(c, rep.solution)
     full = np.array([
         np.conj(state.a * np.exp(-1j * state.energies * t))
         @ state.x2_mat @ (state.a * np.exp(-1j * state.energies * t))
         for t in (0.0, 2.0)
     ]).real
-    assert expectation_x2(state, 0.0) == pytest.approx(full[0], rel=1e-12)
-    assert expectation_x2(state, 2.0) == pytest.approx(full[1], rel=1e-12)
+    assert observables_series(state, [0.0, 2.0])[1] == pytest.approx(full, rel=1e-12)
 
 
 # ------------------------------------------------------------ conservation
@@ -378,7 +392,7 @@ def test_sho_phase_period():
     m = 1.3
     pot = PolynomialPotential((0.0, 0.0, m * m / 2.0))
     rep = solve_spectrum(pot, 30)
-    c = project_centered_gaussian(InitialGaussian(1.1 * m), rep.solution.config)
+    c = project_shifted_gaussian(InitialGaussian(1.1 * m), rep.solution.config)
     state = make_evolution(c, rep.solution)
     period = 4.0 * math.pi / m
     for t in (0.0, 0.7):

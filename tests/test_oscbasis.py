@@ -264,3 +264,11 @@ def test_basis_config_validation():
         BasisConfig(dim=5, omega=-1.0)
     with pytest.raises(ValueError):
         BasisConfig(dim=5, omega=1.0, center=-1)
+
+
+@pytest.mark.parametrize("omega, sigma", [
+    (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_basis_config_rejects_non_finite(omega, sigma):
+    with pytest.raises(ValueError):
+        BasisConfig(dim=5, omega=omega, sigma=sigma)

@@ -181,14 +181,6 @@ def test_optimize_is_deterministic():
     assert (a.omega, a.sigma, a.trace_value) == (b.omega, b.sigma, b.trace_value)
 
 
-def test_initial_guess_is_honored():
-    res = pms_optimize(from_quartic(1.0, 1000.0), 10, init=(30.0, 0.0))
-    assert res.omega == pytest.approx(pms_omega_quartic_closed_form(1.0, 1000.0, 10),
-                                      rel=1e-9)
-    with pytest.raises(ValueError):
-        pms_optimize(from_quartic(1.0, 1000.0), 10, init=(-1.0, 0.0))
-
-
 def test_unbracketed_minimum_raises():
     # optimal frequency ~ (2 g (1+2N^2)/N)^(1/3) >> grid ceiling
     with pytest.raises(ConvergenceError):

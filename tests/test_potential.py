@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ def test_validation_rejects_unconfined():
         PolynomialPotential((1.0,))  # constant
     with pytest.raises(ValueError):
         PolynomialPotential(())
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.0, 0.0, math.nan),
+    (0.0, 0.0, math.inf),
+    (math.nan, 0.0, 1.0),
+    (0.0, -math.inf, 1.0),
+    (0.0, 0.0, 1.0, math.nan, 1.0),
+])
+def test_validation_rejects_non_finite(coeffs):
+    with pytest.raises(ValueError):
+        PolynomialPotential(coeffs)
 
 
 def test_trailing_zeros_stripped():
