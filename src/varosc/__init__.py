@@ -22,10 +22,8 @@ from .oscbasis import (
     BasisConfig,
     HamiltonianMatrix,
     assemble_hamiltonian,
-    basis_function_value,
     basis_functions,
     momentum_squared_matrix,
-    position_power_closed_form,
     position_power_matrix,
 )
 from .pms import (

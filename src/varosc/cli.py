@@ -132,13 +132,13 @@ def cmd_spectrum(cfg: dict, args) -> int:
     n_dim = _num(cfg, "solver.dim", kind=int, required=True, positive=True)
     opt_sigma = bool(_get(cfg, "solver.optimize_sigma", default=False))
     target = _num(cfg, "solver.target_level", kind=int)
-    if target is not None:
-        report = sp.solve_centered(pot, target, n_dim)
-    else:
-        report = sp.solve_spectrum(pot, n_dim, optimize_sigma=opt_sigma)
-    levels = report.requested_levels
+    levels = sp.block_levels(n_dim, target)
     if args.levels:
         levels = _parse_levels(args.levels, levels.start, levels.stop)
+    if target is not None:
+        report = sp.solve_centered(pot, target, n_dim, levels=levels)
+    else:
+        report = sp.solve_spectrum(pot, n_dim, optimize_sigma=opt_sigma, levels=levels)
     out = _outdir(cfg, args)
     sp.write_levels_csv(out / "levels.csv", report, levels)
     _write_pms_json(out / "pms.json", report)

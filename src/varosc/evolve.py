@@ -181,6 +181,11 @@ def make_evolution(c: np.ndarray, sol: EigenSolution) -> EvolutionState:
     """
     c = np.asarray(c, dtype=float)
     d = sol.vectors
+    if d is None:
+        raise ValueError(
+            "the solution holds energies only; evolution needs the whole-block "
+            "eigenvectors (diagonalize without levels)"
+        )
     if c.shape != (d.shape[0],):
         raise ValueError(
             f"coefficient length {c.shape} does not match the {d.shape[0]}-state solution"
@@ -276,17 +281,26 @@ def wavefunction_at(state: EvolutionState, x, t: float) -> complex | np.ndarray:
 
 def write_observables_csv(path, times, x_mean, x2_mean, truncation_loss: float):
     """Write (t, x_mean, x2_mean, sqrt_x2) with the truncation loss in a header."""
+    row = ",".join([_FMT] * 4).format
+    x2_mean = np.asarray(x2_mean, dtype=float)
+    # negative roundoff clamps to 0, as max(x2, 0.0) would (-0.0 stays -0.0)
+    sqrt_x2 = np.sqrt(np.where(x2_mean < 0.0, 0.0, x2_mean))
     lines = [f"# truncation_loss={_FMT.format(truncation_loss)}",
              "t,x_mean,x2_mean,sqrt_x2"]
-    for t, xm, x2 in zip(times, x_mean, x2_mean):
-        lines.append(",".join(_FMT.format(v) for v in (t, xm, x2, math.sqrt(max(x2, 0.0)))))
+    lines += [row(*r) for r in zip(np.asarray(times, dtype=float).tolist(),
+                                   np.asarray(x_mean, dtype=float).tolist(),
+                                   x2_mean.tolist(), sqrt_x2.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_wavefunction_csv(path, xs, psi):
     """Write (x, re, im, abs2) on the provided grid."""
+    row = ",".join([_FMT] * 4).format
+    psi = np.asarray(psi, dtype=complex)
     lines = ["x,re,im,abs2"]
-    for x, p in zip(xs, psi):
-        lines.append(",".join(_FMT.format(v)
-                              for v in (x, p.real, p.imag, abs(p) ** 2)))
+    # abs(complex) is hypot, and float ** 2 is pow: np.abs and np.square round
+    # differently in the last bit
+    abs2 = [m ** 2 for m in np.hypot(psi.real, psi.imag).tolist()]
+    lines += [row(*r) for r in zip(np.asarray(xs, dtype=float).tolist(), psi.real.tolist(),
+                                   psi.imag.tolist(), abs2)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -4,16 +4,18 @@ The basis functions are
 
     phi_n(x) = N_n exp(-alpha^2 x^2 / 2) H_n(alpha x),   alpha = sqrt(omega),
 
-with N_n = (alpha / (2^n n! sqrt(pi)))^(1/2).  Matrix elements of x^p are
-built exactly from the tridiagonal ladder matrix
+with N_n = (alpha / (2^n n! sqrt(pi)))^(1/2).  In this basis x is the
+tridiagonal ladder
 
-    x_{n,l} = (sqrt(l) delta_{n,l-1} + sqrt(n) delta_{l,n-1}) / sqrt(2 omega)
+    x_{n,l} = (sqrt(l) delta_{n,l-1} + sqrt(n) delta_{l,n-1}) / sqrt(2 omega),
 
-raised to the p-th power on an index range enlarged by p on each side, so
+so x^p has half bandwidth p and H = p^2/2 + V has half bandwidth
+max(deg V, 2).  Matrix elements of x^p are built exactly in band storage by
+applying the ladder p times on an index range enlarged by p on each side, so
 that truncation never corrupts the returned block (a length-p hopping path
-cannot leave the enlarged range and return).  A closed-form summation for the
-same elements is kept as an independent cross-check; both must agree with
-Gauss-Hermite quadrature.
+cannot leave the enlarged range and return).  The Hamiltonian is summed band
+by band and densified once.  The tests check every element against a
+closed-form summation and Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
@@ -29,11 +31,9 @@ __all__ = [
     "BasisConfig",
     "HamiltonianMatrix",
     "position_power_matrix",
-    "position_power_closed_form",
     "position_power_diagonal",
     "momentum_squared_matrix",
     "assemble_hamiltonian",
-    "basis_function_value",
     "basis_functions",
 ]
 
@@ -83,11 +83,42 @@ def _check_omega(omega: float):
         raise ValueError(f"basis frequency must be positive, got {omega}")
 
 
-def _ladder_matrix(omega: float, lo: int, hi: int) -> np.ndarray:
-    """Position operator on global basis indices [lo, hi)."""
-    idx = np.arange(lo + 1, hi)
-    off = np.sqrt(idx) / math.sqrt(2.0 * omega)
-    return np.diag(off, 1) + np.diag(off, -1)
+def _power_bands(p: int, omega: float, dim: int, center: int) -> np.ndarray:
+    """Upper bands out[k, i] = (x^p)_{center+i, center+i+k}, k = 0..p.
+
+    The tridiagonal ladder is applied p times to the identity, in band
+    storage, on the global index range [max(0, center-p), center+dim+p):
+    a length-p hopping path cannot leave that range and return, so the
+    block is exact.  Cost O((dim + 2p) p^2); entries past the block edge
+    (i + k >= dim) are zero.
+    """
+    lo = max(0, center - p)
+    m = center + dim + p - lo
+    # hop[r, i] = x_{i+s, i+s+1} on the enlarged range, s = r - (p+1); 0 outside
+    up = np.zeros(m + 2 * p + 2)
+    up[p + 1:p + m] = np.sqrt(np.arange(lo + 1, lo + m)) / math.sqrt(2.0 * omega)
+    hop = np.lib.stride_tricks.sliding_window_view(up, m)[:2 * p + 3]
+    # band[r, i] = (x^q)_{i, i+r-(p+1)}; rows 0 and 2p+2 stay zero
+    band = np.zeros((2 * p + 3, m))
+    band[p + 1] = 1.0
+    for _ in range(p):
+        band[1:-1] = band[:-2] * hop[:-2] + band[2:] * hop[1:-1]
+    a = center - lo
+    out = band[p + 1:2 * p + 2, a:a + dim].copy()
+    for k in range(1, p + 1):
+        out[k, max(dim - k, 0):] = 0.0
+    return out
+
+
+def _densify(bands: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix from upper bands out[k, i] = M_{i, i+k}."""
+    dim = bands.shape[1]
+    out = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    for k in range(min(bands.shape[0], dim)):
+        out[idx[:dim - k], idx[k:]] = bands[k, :dim - k]
+        out[idx[k:], idx[:dim - k]] = bands[k, :dim - k]
+    return out
 
 
 def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np.ndarray:
@@ -114,60 +145,7 @@ def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np
         raise ValueError(f"power must be >= 0, got {p}")
     if p == 0:
         return np.eye(dim)
-    lo = max(0, center - p)
-    hi = center + dim + p
-    full = np.linalg.matrix_power(_ladder_matrix(omega, lo, hi), p)
-    a = center - lo
-    block = full[a:a + dim, a:a + dim]
-    # bitwise-symmetric regardless of the multiplication order inside matrix_power
-    return (block + block.T) / 2.0
-
-
-def position_power_closed_form(p: int, omega: float, dim: int, center: int = 0) -> np.ndarray:
-    """Closed-form summation for (x^p)_{n,l}; independent of the ladder product.
-
-    For l - n = 2*lam (p = 2r even) or l - n = 2*lam + 1 (p = 2r+1 odd),
-    lam >= 0 and r >= lam,
-
-        (x^p)_{n,l} = sqrt(n! l!) / alpha^p *
-            sum_k  p! / (2^(p-k-lam-e/2) (r-lam-k)! (n-k)! (2lam+e+k)! k!)
-
-    with e = p mod 2 and k running to min(n, r-lam); all other elements
-    vanish.  The alpha^p denominator is the convention that reproduces
-    (x^2)_{00} = 1/(2 omega); terms are accumulated through log-gamma so
-    factorials of large indices never appear explicitly.
-    """
-    _check_omega(omega)
-    if p < 0:
-        raise ValueError(f"power must be >= 0, got {p}")
-    out = np.zeros((dim, dim))
-    e = p % 2
-    r = (p - e) // 2
-    log_alpha_p = 0.5 * p * math.log(omega)
-    for i in range(dim):
-        n = center + i
-        for j in range(i, dim):
-            l = center + j
-            if (l - n) % 2 != e:
-                continue
-            lam = (l - n - e) // 2
-            if lam > r:
-                continue
-            kmax = min(n, r - lam)
-            ks = np.arange(kmax + 1)
-            logt = (
-                gammaln(p + 1)
-                - (p - ks - lam - 0.5 * e) * math.log(2.0)
-                - gammaln(r - lam - ks + 1)
-                - gammaln(n - ks + 1)
-                - gammaln(2 * lam + e + ks + 1)
-                - gammaln(ks + 1)
-            )
-            logpre = 0.5 * (gammaln(n + 1) + gammaln(l + 1)) - log_alpha_p
-            val = float(np.sum(np.exp(logt + logpre)))
-            out[i, j] = val
-            out[j, i] = val
-    return out
+    return _densify(_power_bands(p, omega, dim, center))
 
 
 def position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
@@ -210,35 +188,41 @@ def position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1) / omega**r
 
 
-def momentum_squared_matrix(omega: float, dim: int, center: int = 0) -> np.ndarray:
-    """Matrix of p^2: diagonal omega*(2n+1)/2, second off-diagonal
-    -(omega/2)*sqrt((n+1)(n+2)); all other entries vanish by parity."""
-    _check_omega(omega)
+def _momentum_squared_bands(omega: float, dim: int, center: int) -> np.ndarray:
+    """Upper bands of p^2: diagonal omega*(2n+1)/2, second off-diagonal
+    -(omega/2)*sqrt((n+1)(n+2)); the first vanishes by parity."""
     n = center + np.arange(dim)
-    out = np.diag(omega * (2.0 * n + 1.0) / 2.0)
-    if dim > 2:
-        m = n[:-2]
-        off = -(omega / 2.0) * np.sqrt((m + 1.0) * (m + 2.0))
-        out += np.diag(off, 2) + np.diag(off, -2)
+    out = np.zeros((3, dim))
+    out[0] = omega * (2.0 * n + 1.0) / 2.0
+    m = n[:-2]
+    out[2, :m.size] = -(omega / 2.0) * np.sqrt((m + 1.0) * (m + 2.0))
     return out
+
+
+def momentum_squared_matrix(omega: float, dim: int, center: int = 0) -> np.ndarray:
+    """Matrix of p^2, pentadiagonal with a zero first off-diagonal."""
+    _check_omega(omega)
+    return _densify(_momentum_squared_bands(omega, dim, center))
 
 
 def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> HamiltonianMatrix:
     """Hamiltonian block H = p^2/2 + V(x + sigma) in the configured basis.
 
-    The shift is applied to the potential coefficients exactly, then each
-    power of x contributes its ladder-product matrix.  The result is exactly
-    symmetric and banded with half bandwidth max(degree, 2).
+    The shift is applied to the potential coefficients exactly.  H is banded
+    with half bandwidth kd = max(degree, 2): the kinetic bands (offsets 0 and
+    2) and kappa_j times the bands of each x^j are summed into one
+    (kd+1) x dim array, which is densified once, exactly symmetric.
     """
     shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
-    h = 0.5 * momentum_squared_matrix(cfg.omega, cfg.dim, cfg.center)
+    bands = np.zeros((max(shifted.degree, 2) + 1, cfg.dim))
+    bands[:3] = 0.5 * _momentum_squared_bands(cfg.omega, cfg.dim, cfg.center)
     if shifted.coeffs[0] != 0.0:
-        h += shifted.coeffs[0] * np.eye(cfg.dim)
+        bands[0] += shifted.coeffs[0]
     for j, kj in enumerate(shifted.coeffs):
         if j == 0 or kj == 0.0:
             continue
-        h += kj * position_power_matrix(j, cfg.omega, cfg.dim, cfg.center)
-    return HamiltonianMatrix(entries=h, config=cfg, potential=pot)
+        bands[:j + 1] += kj * _power_bands(j, cfg.omega, cfg.dim, cfg.center)
+    return HamiltonianMatrix(entries=_densify(bands), config=cfg, potential=pot)
 
 
 def _hermite_rows(nmax: int, y: np.ndarray, h0: np.ndarray) -> np.ndarray:
@@ -270,13 +254,3 @@ def basis_functions(nmax: int, omega: float, x) -> np.ndarray:
     alpha = math.sqrt(omega)
     y = alpha * np.atleast_1d(np.asarray(x, dtype=float))
     return math.sqrt(alpha) * _hermite_rows(nmax, y, math.pi**-0.25 * np.exp(-0.5 * y * y))
-
-
-def basis_function_value(n: int, omega: float, x) -> float | np.ndarray:
-    """Single basis function phi_n evaluated at x (scalar or array)."""
-    if n < 0:
-        raise ValueError(f"basis index must be >= 0, got {n}")
-    vals = basis_functions(n + 1, omega, x)[n]
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals

@@ -23,6 +23,7 @@ __all__ = [
     "solve_spectrum",
     "solve_centered",
     "convergence_study",
+    "block_levels",
     "write_levels_csv",
     "write_convergence_csv",
     "write_trace_scan_csv",
@@ -46,66 +47,100 @@ class ConvergenceStudy:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """PMS result and eigensolution of one block.
+
+    requested_levels are global level indices; the solution holds energies
+    for block indices offset, offset+1, ... (global index = center + block
+    index), at least covering the requested levels.
+    """
+
     pms: PmsResult
     solution: EigenSolution
     requested_levels: range
     convergence: ConvergenceStudy | None = None
 
     def __post_init__(self):
-        cfg = self.solution.config
-        lo, hi = cfg.center, cfg.center + cfg.dim
+        solved = self.solved_levels
         for n in (self.requested_levels.start, self.requested_levels.stop - 1):
-            if not (lo <= n < hi):
+            if n not in solved:
                 raise ValueError(
-                    f"requested level {n} lies outside the diagonalized block [{lo}, {hi})"
+                    f"requested level {n} lies outside the solved levels "
+                    f"[{solved.start}, {solved.stop})"
                 )
+
+    @property
+    def solved_levels(self) -> range:
+        """Global indices of the levels the solution holds."""
+        first = self.solution.config.center + self.solution.offset
+        return range(first, first + len(self.solution.energies))
 
     def energy(self, level: int) -> float:
         """Energy of the given global level index."""
-        cfg = self.solution.config
-        if not (cfg.center <= level < cfg.center + cfg.dim):
+        solved = self.solved_levels
+        if level not in solved:
             raise ValueError(
-                f"level {level} lies outside the diagonalized block "
-                f"[{cfg.center}, {cfg.center + cfg.dim})"
+                f"level {level} lies outside the solved levels [{solved.start}, {solved.stop})"
             )
-        return float(self.energies[level - cfg.center])
+        return float(self.energies[level - solved.start])
 
     @property
     def energies(self) -> np.ndarray:
         return self.solution.energies
 
 
-def solve_spectrum(pot: PolynomialPotential, N: int,
-                   optimize_sigma: bool = False) -> SpectrumReport:
-    """PMS-optimized spectrum of the first N levels.
+def block_levels(N: int, target_level: int | None = None) -> range:
+    """Global level indices of an N-dimensional block.
 
-    Runs the trace optimization, assembles the Hamiltonian at the optimal
-    (omega, sigma), and diagonalizes.
-    """
-    pms = pms_optimize(pot, N, optimize_sigma=optimize_sigma)
-    cfg = BasisConfig(dim=N, omega=pms.omega, sigma=pms.sigma)
-    sol = diagonalize(assemble_hamiltonian(pot, cfg))
-    return SpectrumReport(pms=pms, solution=sol, requested_levels=range(N))
-
-
-def solve_centered(pot: PolynomialPotential, target_level: int, N: int) -> SpectrumReport:
-    """Spectrum of an N-dimensional block centered on a target level.
-
-    The block spans basis indices [center, center+N) with
+    range(N) without a target; with one, the block is centered on it:
     center = max(0, target_level - N//2), so the target sits mid-block and is
-    shielded from border contamination.  The trace criterion is re-applied to
-    this block's own diagonal.  Level k of the block is labelled center+k;
-    the labelling is an approximation validated against uncentered runs in
-    tests, not assumed exact.
+    shielded from border contamination.
     """
+    if target_level is None:
+        return range(N)
     if target_level < 0:
         raise ValueError(f"target level must be >= 0, got {target_level}")
     center = max(0, target_level - N // 2)
-    pms = pms_optimize(pot, N, center=center)
-    cfg = BasisConfig(dim=N, omega=pms.omega, sigma=0.0, center=center)
-    sol = diagonalize(assemble_hamiltonian(pot, cfg))
-    return SpectrumReport(pms=pms, solution=sol,
-                          requested_levels=range(center, center + N))
+    return range(center, center + N)
+
+
+def _solve(pot: PolynomialPotential, pms: PmsResult, block: range,
+           levels: range | None) -> SpectrumReport:
+    """Assemble at the PMS parameters and solve the requested levels (all if None)."""
+    cfg = BasisConfig(dim=len(block), omega=pms.omega, sigma=pms.sigma, center=block.start)
+    h = assemble_hamiltonian(pot, cfg)
+    if levels is None:
+        return SpectrumReport(pms=pms, solution=diagonalize(h), requested_levels=block)
+    sol = diagonalize(h, range(levels.start - block.start, levels.stop - block.start))
+    return SpectrumReport(pms=pms, solution=sol, requested_levels=levels)
+
+
+def solve_spectrum(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
+                   levels: range | None = None) -> SpectrumReport:
+    """PMS-optimized spectrum of the first N levels.
+
+    Runs the trace optimization, assembles the Hamiltonian at the optimal
+    (omega, sigma), and diagonalizes.  With levels (a range inside [0, N)),
+    only those energies are solved and no eigenvector is formed; without,
+    the whole block is solved with eigenvectors.
+    """
+    pms = pms_optimize(pot, N, optimize_sigma=optimize_sigma)
+    return _solve(pot, pms, block_levels(N), levels)
+
+
+def solve_centered(pot: PolynomialPotential, target_level: int, N: int,
+                   levels: range | None = None) -> SpectrumReport:
+    """Spectrum of an N-dimensional block centered on a target level.
+
+    The block spans the global indices block_levels(N, target_level).  The
+    trace criterion is re-applied to this block's own diagonal.  Level k of
+    the block is labelled center+k; the labelling is an approximation
+    validated against uncentered runs in tests, not assumed exact.  levels
+    (global indices inside the block) selects which energies to solve, as in
+    solve_spectrum.
+    """
+    block = block_levels(N, target_level)
+    pms = pms_optimize(pot, N, center=block.start)
+    return _solve(pot, pms, block, levels)
 
 
 def convergence_study(pot: PolynomialPotential, level_set, N_list,
@@ -114,34 +149,38 @@ def convergence_study(pot: PolynomialPotential, level_set, N_list,
     """Tabulate level errors against a large reference block.
 
     delta(N, n) = |E_n(N) - E_n(N_ref)|.  N_ref defaults to 2.5x the largest
-    requested dimension and must exceed it.  The per-N PMS frequencies are
-    recorded as diagnostics.
+    requested dimension and must exceed it.  Every block solves only the
+    levels from the lowest to the highest requested one, without
+    eigenvectors.  The per-N PMS frequencies are recorded as diagnostics.
     """
     N_list = sorted(int(n) for n in N_list)
     levels = sorted(int(n) for n in level_set)
+    if not levels:
+        raise ValueError("a convergence study needs at least one level")
     if N_ref is None:
         N_ref = int(math.ceil(2.5 * max(N_list)))
     if N_ref < max(N_list):
         raise ValueError(
             f"reference dimension {N_ref} must be at least every studied dimension"
         )
-    if levels and levels[-1] >= min(N_list):
+    if levels[0] < 0 or levels[-1] >= min(N_list):
         raise ValueError(
-            f"level {levels[-1]} is outside the smallest block N={min(N_list)}"
+            f"levels {levels[0]}..{levels[-1]} are outside the smallest block N={min(N_list)}"
         )
-    ref = solve_spectrum(pot, N_ref, optimize_sigma=optimize_sigma)
+    span = range(levels[0], levels[-1] + 1)
+    ref = solve_spectrum(pot, N_ref, optimize_sigma=optimize_sigma, levels=span)
     rows = []
     omegas = {N_ref: ref.pms.omega}
     for n_dim in N_list:
-        rep = solve_spectrum(pot, n_dim, optimize_sigma=optimize_sigma)
+        rep = solve_spectrum(pot, n_dim, optimize_sigma=optimize_sigma, levels=span)
         omegas[n_dim] = rep.pms.omega
         for lvl in levels:
-            e = float(rep.energies[lvl])
-            delta = abs(e - float(ref.energies[lvl]))
+            e = rep.energy(lvl)
+            delta = abs(e - ref.energy(lvl))
             rows.append((n_dim, lvl, e, delta))
     study = ConvergenceStudy(n_ref=N_ref, rows=tuple(rows), pms_omegas=omegas)
     return SpectrumReport(pms=ref.pms, solution=ref.solution,
-                          requested_levels=range(N_ref), convergence=study)
+                          requested_levels=span, convergence=study)
 
 
 def write_levels_csv(path, report: SpectrumReport, levels: range | None = None):

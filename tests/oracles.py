@@ -2,14 +2,18 @@
 
 Everything here is deliberately built from different primitives than the
 package: explicit Hermite polynomials, factorial normalizations, raw
-log-gamma summations.  Keep it that way; these are the oracles.
+log-gamma summations.  Keep it that way; these are the oracles.  The one
+exception is basis_function_value, which picks a single function out of the
+package's basis_functions for the tests that probe single values.
 """
 import math
 from math import lgamma
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_hermite, roots_hermite
+from scipy.special import eval_hermite, gammaln, roots_hermite
+
+from varosc import basis_functions
 
 
 def hermite_function(n: int, omega: float, x: np.ndarray) -> np.ndarray:
@@ -179,3 +183,59 @@ def golden_min(f, lo: float, hi: float, iters: int = 300):
         if abs(b - a) < 1e-15 * (1.0 + abs(a)):
             break
     return 0.5 * (a + b)
+
+
+def position_power_closed_form(p: int, omega: float, dim: int, center: int = 0) -> np.ndarray:
+    """Closed-form summation for (x^p)_{n,l}; independent of the ladder recurrence.
+
+    For l - n = 2*lam (p = 2r even) or l - n = 2*lam + 1 (p = 2r+1 odd),
+    lam >= 0 and r >= lam,
+
+        (x^p)_{n,l} = sqrt(n! l!) / alpha^p *
+            sum_k  p! / (2^(p-k-lam-e/2) (r-lam-k)! (n-k)! (2lam+e+k)! k!)
+
+    with e = p mod 2 and k running to min(n, r-lam); all other elements
+    vanish.  The alpha^p denominator is the convention that reproduces
+    (x^2)_{00} = 1/(2 omega); terms are accumulated through log-gamma so
+    factorials of large indices never appear explicitly.
+    """
+    if p < 0:
+        raise ValueError(f"power must be >= 0, got {p}")
+    out = np.zeros((dim, dim))
+    e = p % 2
+    r = (p - e) // 2
+    log_alpha_p = 0.5 * p * math.log(omega)
+    for i in range(dim):
+        n = center + i
+        for j in range(i, dim):
+            l = center + j
+            if (l - n) % 2 != e:
+                continue
+            lam = (l - n - e) // 2
+            if lam > r:
+                continue
+            kmax = min(n, r - lam)
+            ks = np.arange(kmax + 1)
+            logt = (
+                gammaln(p + 1)
+                - (p - ks - lam - 0.5 * e) * math.log(2.0)
+                - gammaln(r - lam - ks + 1)
+                - gammaln(n - ks + 1)
+                - gammaln(2 * lam + e + ks + 1)
+                - gammaln(ks + 1)
+            )
+            logpre = 0.5 * (gammaln(n + 1) + gammaln(l + 1)) - log_alpha_p
+            val = float(np.sum(np.exp(logt + logpre)))
+            out[i, j] = val
+            out[j, i] = val
+    return out
+
+
+def basis_function_value(n: int, omega: float, x) -> float | np.ndarray:
+    """Single basis function phi_n evaluated at x (scalar or array)."""
+    if n < 0:
+        raise ValueError(f"basis index must be >= 0, got {n}")
+    vals = basis_functions(n + 1, omega, x)[n]
+    if np.ndim(x) == 0:
+        return float(vals[0])
+    return vals

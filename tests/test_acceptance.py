@@ -17,7 +17,7 @@ from varosc.evolve import (
     project_shifted_gaussian,
 )
 
-from oracles import fd_lowest_levels, gh_position_block
+from oracles import fd_lowest_levels, gh_position_block, position_power_closed_form
 
 QUARTIC = v.from_quartic(1.0, 1000.0)
 DWELL = v.from_double_well(0.01, 5.0)
@@ -133,7 +133,7 @@ def test_criterion_07_matrix_element_oracle_equivalence():
     for omega in (0.1, 1.0, 31.179):
         for p in range(0, 9):
             banded = v.position_power_matrix(p, omega, 21)
-            closed = v.position_power_closed_form(p, omega, 21)
+            closed = position_power_closed_form(p, omega, 21)
             quad = gh_position_block(p, omega, 21)
             scale = np.max(np.abs(quad))
             nz = np.abs(quad) > 1e-13 * scale

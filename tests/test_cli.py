@@ -68,6 +68,30 @@ def test_levels_flag_selects_range(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["2", "3", "4", "5"]
 
 
+@pytest.mark.parametrize("solver, levels", [
+    ({"dim": 15}, "10..15"),
+    ({"dim": 15}, "-1..3"),
+    ({"dim": 21, "target_level": 30}, "5..12"),
+    ({"dim": 21, "target_level": 30}, "35..45"),
+])
+def test_levels_outside_block_exit_before_solving(tmp_path, monkeypatch, capsys,
+                                                  solver, levels):
+    import varosc.spectrum
+
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(varosc.spectrum, "pms_optimize", never)
+    monkeypatch.setattr(varosc.spectrum, "diagonalize", never)
+    cfg = {"potential": {"kind": "quartic", "m2": 1.0, "g": 1.0}, "solver": solver}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(path), "--out", str(out),
+                 f"--levels={levels}"]) == 2
+    assert "outside the solved block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_levels_csv_roundtrips_exactly(tmp_path):
     import varosc
 

@@ -6,6 +6,8 @@ from varosc import (
     PolynomialPotential,
     assemble_hamiltonian,
     diagonalize,
+    from_double_well,
+    pms_optimize,
 )
 from varosc.oscbasis import HamiltonianMatrix
 
@@ -108,3 +110,77 @@ def test_solution_is_immutable():
     sol = diagonalize(wrap(np.diag([1.0, 2.0])))
     with pytest.raises(ValueError):
         sol.energies[0] = 0.0
+
+
+# ------------------------------------------------------------ selected levels
+
+EPS = np.finfo(float).eps
+
+
+def random_confining_block(rng, degree):
+    coeffs = tuple(rng.uniform(-1.0, 1.0, size=degree)) + (float(rng.uniform(0.05, 1.0)),)
+    cfg = BasisConfig(dim=int(rng.integers(20, 61)), omega=float(rng.uniform(0.5, 4.0)),
+                      sigma=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)),
+                      center=int(rng.integers(1, 30)))
+    return assemble_hamiltonian(PolynomialPotential(coeffs), cfg)
+
+
+def test_selected_levels_match_full_eigh():
+    rng = np.random.default_rng(53)
+    for degree in (2, 4, 6, 8):
+        for _ in range(10):
+            h = random_confining_block(rng, degree)
+            n = h.config.dim
+            full = diagonalize(h).energies
+            a = int(rng.integers(0, n - 1))
+            b = int(rng.integers(a + 1, n + 1))
+            sel = diagonalize(h, range(a, b))
+            assert sel.vectors is None and sel.offset == a
+            want = full[a:b]
+            # both solvers are normwise backward stable, so they may differ by
+            # a few eps*||H|| (measured up to 3.1): at degree 8 that is 2e-11
+            # of |E|, and 40-digit eigenvalues show eigh itself off by
+            # 2.5e-12 |E| there
+            tol = 1e-13 * np.maximum(1.0, np.abs(want)) + 4 * EPS * np.max(np.abs(full))
+            assert np.all(np.abs(sel.energies - want) <= tol), (degree, n, a, b)
+
+
+def test_selected_levels_resolve_a_deep_doublet():
+    pot = from_double_well(1.0, 6.0)
+    h = assemble_hamiltonian(pot, BasisConfig(dim=200, omega=pms_optimize(pot, 200).omega))
+    full = diagonalize(h).energies
+    assert full[1] - full[0] < 1e-8
+    sel = diagonalize(h, range(0, 4)).energies
+    np.testing.assert_array_less(np.abs(sel - full[:4]),
+                                 1e-13 * np.maximum(1.0, np.abs(full[:4])))
+    assert np.all(np.diff(sel) >= 0.0)
+
+
+def test_selected_levels_of_a_dense_matrix():
+    # the bands are read off the matrix, so a full-bandwidth block works too
+    rng = np.random.default_rng(59)
+    h = random_symmetric(rng, 30)
+    full = diagonalize(wrap(h)).energies
+    sel = diagonalize(wrap(h), range(3, 9)).energies
+    tol = 1e-13 * np.maximum(1.0, np.abs(full[3:9])) + 4 * EPS * np.max(np.abs(full))
+    assert np.all(np.abs(sel - full[3:9]) <= tol)
+
+
+def test_whole_block_request_has_the_default_bits():
+    rng = np.random.default_rng(61)
+    h = wrap(random_symmetric(rng, 12))
+    whole = diagonalize(h, range(12))
+    assert whole.vectors is None and whole.offset == 0
+    assert np.array_equal(whole.energies, diagonalize(h).energies)
+
+
+def test_selected_levels_reject_bad_ranges_and_asymmetry():
+    h = wrap(np.diag([3.0, -1.0, 2.0]))
+    for bad in (range(0, 0), range(2, 4), range(-1, 2), range(0, 3, 2)):
+        with pytest.raises(ValueError):
+            diagonalize(h, bad)
+    off_band = np.diag([1.0, 2.0, 3.0])
+    off_band[0, 2] = 5.0  # no mirror entry
+    for m in ([[0.0, 1.0, 0.0], [1.0 + 1e-12, 0.0, 0.0], [0.0, 0.0, 1.0]], off_band):
+        with pytest.raises(ValueError):
+            diagonalize(wrap(m), range(0, 1))

@@ -213,6 +213,16 @@ def test_rotation_rejects_broken_orthonormality():
         make_evolution(np.zeros(7), sol)
 
 
+def test_rotation_rejects_energies_only_solution():
+    c = np.zeros(40)
+    c[0] = 1.0
+    for levels in (range(0, 10), range(40)):
+        sol = solve_spectrum(DWELL, 40, levels=levels).solution
+        assert sol.vectors is None
+        with pytest.raises(ValueError, match="energies only"):
+            make_evolution(c, sol)
+
+
 # ------------------------------------------------------------- observables
 
 def test_initial_second_moment_is_gaussian_variance():

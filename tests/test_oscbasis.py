@@ -7,17 +7,15 @@ from varosc import (
     BasisConfig,
     PolynomialPotential,
     assemble_hamiltonian,
-    basis_function_value,
     basis_functions,
     from_double_well,
     from_quartic,
     momentum_squared_matrix,
-    position_power_closed_form,
     position_power_matrix,
 )
 from varosc.oscbasis import position_power_diagonal
 
-from oracles import gh_position_block
+from oracles import basis_function_value, gh_position_block, position_power_closed_form
 
 
 def rel_compare(a, b, rtol):
@@ -143,6 +141,14 @@ def test_closed_form_matches_banded_product_centered():
     a = position_power_matrix(6, 2.3, 9, center=40)
     b = position_power_closed_form(6, 2.3, 9, center=40)
     rel_compare(a, b, rtol=1e-10)
+
+
+def test_closed_form_matches_band_recurrence_large_block():
+    for center in (0, 40):
+        for p in range(1, 9):
+            a = position_power_matrix(p, 1.7, 200, center=center)
+            b = position_power_closed_form(p, 1.7, 200, center=center)
+            rel_compare(a, b, rtol=1e-10)
 
 
 def test_diagonal_path_matches_matrix_diagonal():

@@ -113,6 +113,44 @@ def test_centered_block_reaches_high_level():
     assert got == pytest.approx(float(ref.energies[30]), rel=1e-6)
 
 
+def test_centered_selected_levels_match_full_block():
+    pot = from_quartic(1.0, 1000.0)
+    full = solve_centered(pot, 60, 81)
+    sel = solve_centered(pot, 60, 81, levels=range(55, 66))
+    assert full.solved_levels == range(20, 101)
+    assert sel.solution.vectors is None
+    assert sel.requested_levels == sel.solved_levels == range(55, 66)
+    assert sel.pms == full.pms
+    for n in range(55, 66):
+        e = full.energy(n)
+        assert abs(sel.energy(n) - e) <= 1e-13 * max(1.0, abs(e))
+    for outside in (54, 66):
+        with pytest.raises(ValueError):
+            sel.energy(outside)
+    with pytest.raises(ValueError):
+        solve_centered(pot, 60, 81, levels=range(10, 30))  # below the block
+
+
+def test_selected_levels_match_plain_solve():
+    pot = asym_demo()
+    full = solve_spectrum(pot, 41, optimize_sigma=True)
+    sel = solve_spectrum(pot, 41, optimize_sigma=True, levels=range(3, 8))
+    np.testing.assert_allclose(sel.energies, full.energies[3:8], rtol=1e-13)
+    with pytest.raises(ValueError):
+        solve_spectrum(pot, 41, levels=range(40, 42))
+
+
+def test_convergence_study_solves_only_the_level_span():
+    rep = convergence_study(from_quartic(1.0, 1000.0), [4, 2], [10, 20], N_ref=40)
+    assert rep.requested_levels == rep.solved_levels == range(2, 5)
+    assert rep.solution.vectors is None
+    plain = solve_spectrum(from_quartic(1.0, 1000.0), 40)
+    for lvl in (2, 3, 4):
+        assert rep.energy(lvl) == pytest.approx(plain.energy(lvl), rel=1e-13)
+    with pytest.raises(ValueError):
+        convergence_study(from_quartic(1.0, 1000.0), [], [10])
+
+
 def test_convergence_study_table():
     pot = from_quartic(1.0, 1000.0)
     rep = convergence_study(pot, [0, 3], [10, 20, 30], N_ref=50)
