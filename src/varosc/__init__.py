@@ -27,10 +27,8 @@ from .oscbasis import (
     position_power_matrix,
 )
 from .pms import (
-    ClosedFormBranchError,
     ConvergenceError,
     PmsResult,
-    pms_omega_quartic_closed_form,
     pms_optimize,
     trace,
     trace_scan,

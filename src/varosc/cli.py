@@ -19,7 +19,7 @@ import numpy as np
 from . import evolve as ev
 from . import spectrum as sp
 from .eigen import DiagonalizationError
-from .pms import ClosedFormBranchError, ConvergenceError, pms_optimize, trace_scan
+from .pms import ConvergenceError, pms_optimize, trace_scan
 from .potential import PolynomialPotential, asym_demo, from_double_well, from_quartic
 
 _FMT = "{:.17g}"
@@ -58,6 +58,22 @@ def _num(cfg, path, kind=float, required=False, default=None, positive=False):
     if positive and not val > 0:
         raise ConfigError(f"config field '{path}' must be positive, got {val}")
     return val
+
+
+def _flag(cfg: dict, path: str) -> bool:
+    """A JSON true/false field; absent means false."""
+    val = _get(cfg, path, default=False)
+    if not isinstance(val, bool):
+        raise ConfigError(f"config field '{path}' must be true or false, got {val!r}")
+    return val
+
+
+def _dims(dims) -> list[int]:
+    """A list of positive integer block dimensions (JSON true is not one)."""
+    if not isinstance(dims, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in dims):
+        raise ConfigError("config field 'solver.dims' must be a list of positive integers")
+    return dims
 
 
 def build_potential(cfg: dict) -> PolynomialPotential:
@@ -130,7 +146,7 @@ def _write_pms_json(path: Path, report: sp.SpectrumReport):
 def cmd_spectrum(cfg: dict, args) -> int:
     pot = build_potential(cfg)
     n_dim = _num(cfg, "solver.dim", kind=int, required=True, positive=True)
-    opt_sigma = bool(_get(cfg, "solver.optimize_sigma", default=False))
+    opt_sigma = _flag(cfg, "solver.optimize_sigma")
     target = _num(cfg, "solver.target_level", kind=int)
     levels = sp.block_levels(n_dim, target)
     if args.levels:
@@ -152,8 +168,7 @@ def cmd_trace_scan(cfg: dict, args) -> int:
     dims = _get(cfg, "solver.dims")
     if dims is None:
         dims = [_num(cfg, "solver.dim", kind=int, required=True, positive=True)]
-    if not isinstance(dims, list) or not all(isinstance(v, int) and v >= 1 for v in dims):
-        raise ConfigError("config field 'solver.dims' must be a list of positive integers")
+    dims = _dims(dims)
     w_lo = _num(cfg, "scan.omega_min", required=True, positive=True)
     w_hi = _num(cfg, "scan.omega_max", required=True, positive=True)
     pts = _num(cfg, "scan.points", kind=int, default=101, positive=True)
@@ -180,13 +195,11 @@ def cmd_trace_scan(cfg: dict, args) -> int:
 
 def cmd_convergence(cfg: dict, args) -> int:
     pot = build_potential(cfg)
-    dims = _get(cfg, "solver.dims", required=True)
-    if not isinstance(dims, list) or not all(isinstance(v, int) and v >= 1 for v in dims):
-        raise ConfigError("config field 'solver.dims' must be a list of positive integers")
+    dims = _dims(_get(cfg, "solver.dims", required=True))
     n_ref = _num(cfg, "solver.n_ref", kind=int, positive=True)
     level_spec = _get(cfg, "solver.levels", default="0..0")
     levels = _parse_levels(level_spec, 0, min(dims))
-    opt_sigma = bool(_get(cfg, "solver.optimize_sigma", default=False))
+    opt_sigma = _flag(cfg, "solver.optimize_sigma")
     report = sp.convergence_study(pot, levels, dims, N_ref=n_ref,
                                   optimize_sigma=opt_sigma)
     out = _outdir(cfg, args)
@@ -224,12 +237,12 @@ def _initial_states(cfg: dict) -> list[tuple[str, ev.InitialGaussian]]:
 def cmd_evolve(cfg: dict, args) -> int:
     pot = build_potential(cfg)
     n_dim = _num(cfg, "solver.dim", kind=int, required=True, positive=True)
-    opt_sigma = bool(_get(cfg, "solver.optimize_sigma", default=False))
+    opt_sigma = _flag(cfg, "solver.optimize_sigma")
     t_max = _num(cfg, "evolution.t_max", required=True)
     t_step = _num(cfg, "evolution.t_step", required=True, positive=True)
     if t_max < 0:
         raise ConfigError(f"evolution.t_max must be >= 0, got {t_max}")
-    use_quadrature = bool(_get(cfg, "evolution.quadrature", default=False))
+    use_quadrature = _flag(cfg, "evolution.quadrature")
     initial_states = _initial_states(cfg)
     snap_times = _get(cfg, "evolution.snapshot_times", default=[])
     if not isinstance(snap_times, list) or not all(_is_number(t) for t in snap_times):
@@ -299,8 +312,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ClosedFormBranchError, DiagonalizationError,
-            ev.BasisResolutionError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, DiagonalizationError, ev.BasisResolutionError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

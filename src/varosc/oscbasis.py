@@ -148,30 +148,22 @@ def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np
     return _densify(_power_bands(p, omega, dim, center))
 
 
-def position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
-    """Diagonal elements (x^p)_{n,n} for an array of global indices n.
+def _diagonal_parts(p: int, n: np.ndarray) -> tuple[np.ndarray, float]:
+    """Omega-free parts of (x^p)_{n,n} = num / (c * omega^(p/2)), p even >= 2.
 
-    Zero for odd p by parity.  Used by the trace path, which must not build
-    whole matrices; the low even powers carry explicit polynomial forms
-    because optimizers call this in a tight loop.
+    Split this way so the trace can tabulate num once per block and do only
+    the omega-dependent division per call, with the same operands as
+    position_power_diagonal's single division.
     """
-    _check_omega(omega)
-    n = np.asarray(n, dtype=int)
-    if p < 0:
-        raise ValueError(f"power must be >= 0, got {p}")
-    if p == 0:
-        return np.ones(n.shape)
-    if p % 2 == 1:
-        return np.zeros(n.shape)
     if p == 2:
-        return (2.0 * n + 1.0) / (2.0 * omega)
+        return 2.0 * n + 1.0, 2.0
     if p == 4:
-        return 3.0 * (2.0 * n * n + 2.0 * n + 1.0) / (4.0 * omega**2)
+        return 3.0 * (2.0 * n * n + 2.0 * n + 1.0), 4.0
     if p == 6:
-        return (2.5 * n**3 + 3.75 * n**2 + 5.0 * n + 1.875) / omega**3
+        return 2.5 * n**3 + 3.75 * n**2 + 5.0 * n + 1.875, 1.0
     if p == 8:
         return (4.375 * n**4 + 8.75 * n**3 + 21.875 * n**2 + 17.5 * n
-                + 6.5625) / omega**4
+                + 6.5625), 1.0
     r = p // 2
     ks = np.arange(r + 1)
     # summand: p! n! / (2^(p-k) (r-k)! (n-k)! (k!)^2), truncated at k <= n
@@ -185,7 +177,26 @@ def position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
     )
     terms = np.exp(logt)
     terms[n[:, None] < ks[None, :]] = 0.0
-    return terms.sum(axis=1) / omega**r
+    return terms.sum(axis=1), 1.0
+
+
+def position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
+    """Diagonal elements (x^p)_{n,n} for an array of global indices n.
+
+    Zero for odd p by parity.  The low even powers carry explicit
+    polynomial forms; pms.trace tabulates the omega-free numerators of
+    _diagonal_parts once per block instead of calling this per evaluation.
+    """
+    _check_omega(omega)
+    n = np.asarray(n, dtype=int)
+    if p < 0:
+        raise ValueError(f"power must be >= 0, got {p}")
+    if p == 0:
+        return np.ones(n.shape)
+    if p % 2 == 1:
+        return np.zeros(n.shape)
+    num, c = _diagonal_parts(p, n)
+    return num / (c * omega**(p // 2))
 
 
 def _momentum_squared_bands(omega: float, dim: int, center: int) -> np.ndarray:

@@ -13,22 +13,21 @@ returned so results are reproducible.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .oscbasis import BasisConfig, position_power_diagonal
+from .oscbasis import BasisConfig, _diagonal_parts
 from .potential import PolynomialPotential
 
 __all__ = [
     "PmsResult",
-    "ClosedFormBranchError",
     "ConvergenceError",
     "trace",
     "trace_scan",
-    "pms_omega_quartic_closed_form",
     "pms_optimize",
 ]
 
@@ -40,10 +39,6 @@ _MAXITER_1D = 200
 _MAXITER_2D = 2000
 _GRAD_STEP = 1e-5
 _RESIDUAL_REL = 1e-7
-
-
-class ClosedFormBranchError(ValueError):
-    """The closed-form stationary point is complex or non-positive."""
 
 
 class ConvergenceError(RuntimeError):
@@ -60,21 +55,45 @@ class PmsResult:
     stationarity_residual: float
 
 
+@functools.lru_cache(maxsize=32)
+def _trace_tables(dim: int, center: int, degree: int):
+    """Omega-free parts of the block's diagonal, tabulated once per block.
+
+    Returns the kinetic array 2n+1 and (j, num_j, c_j) for each even j in
+    2..degree, with (x^j)_nn = num_j / (c_j omega^(j/2)); the arrays are
+    read-only because every caller with the same key shares them.
+    """
+    n = center + np.arange(dim)
+    kin = 2.0 * n + 1.0
+    kin.flags.writeable = False
+    parts = []
+    for j in range(2, degree + 1, 2):
+        num, c = _diagonal_parts(j, n)
+        num.flags.writeable = False
+        parts.append((j, num, c))
+    return kin, tuple(parts)
+
+
 def trace(pot: PolynomialPotential, cfg: BasisConfig) -> float:
     """Trace of the Hamiltonian block from diagonal elements alone.
 
     Only even powers of x have nonvanishing diagonal elements, so the shift
     enters exclusively through the re-expanded coefficients.  Never builds a
-    matrix; cost is O(dim * degree^2).
+    matrix; the omega-free diagonal tables come from a per-block cache, so a
+    call costs one O(dim) divide and sum per even power.
     """
     shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
-    n = cfg.center + np.arange(cfg.dim)
-    # kinetic part: (p^2)_nn / 2 = omega (2n+1) / 4
-    total = float(np.sum(cfg.omega * (2.0 * n + 1.0) / 4.0))
-    for j, kj in enumerate(shifted.coeffs):
-        if kj == 0.0 or j % 2 == 1:
-            continue
-        total += kj * float(np.sum(position_power_diagonal(j, cfg.omega, n)))
+    kin, parts = _trace_tables(cfg.dim, cfg.center, shifted.degree)
+    omega = cfg.omega
+    # kinetic part: (p^2)_nn / 2 = omega (2n+1) / 4.  ndarray.sum is the
+    # np.add.reduce that np.sum dispatches to, without the dispatch cost
+    total = float((omega * kin / 4.0).sum())
+    if shifted.coeffs[0] != 0.0:
+        total += shifted.coeffs[0] * float(cfg.dim)
+    for j, num, c in parts:
+        kj = shifted.coeffs[j]
+        if kj != 0.0:
+            total += kj * float((num / (c * omega**(j // 2))).sum())
     return total
 
 
@@ -86,58 +105,6 @@ def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray,
         trace(pot, BasisConfig(dim=dim, omega=w, sigma=sigma)) / dim
         for w in omegas
     ])
-
-
-def pms_omega_quartic_closed_form(m_squared_signed: float, g: float, N: int) -> float:
-    """Closed-form stationary frequency for V = (mu/2) x^2 + g x^4.
-
-    m_squared_signed is the signed quadratic coefficient mu = 2*kappa_2
-    (negative for a double well).  The trace is
-
-        T_N = (N^2/4)(omega + mu/omega) + g N (1 + 2N^2) / (4 omega^2)
-
-    and stationarity gives the depressed cubic omega^3 - mu*omega - 2G = 0
-    with G = g (1 + 2N^2)/N.  The unique positive root is
-
-        omega = -mu / X^(1/3) - X^(1/3) / 3,
-        X = -27 G + sqrt(729 G^2 - 27 mu^3),
-
-    evaluated here with X rationalized to -27 mu^3 / (27G + sqrt(...)) because
-    the direct difference cancels catastrophically when |mu|^3 << 27 G^2.
-    Raises ClosedFormBranchError when the square root turns complex (three
-    real stationary points; the numeric search is authoritative there) or the
-    root fails to be a positive stationary point.
-    """
-    if g <= 0.0:
-        raise ValueError(f"quartic coupling must be positive, got {g!r}")
-    if N < 1:
-        raise ValueError(f"block dimension must be >= 1, got {N}")
-    mu = float(m_squared_signed)
-    G = g * (1.0 + 2.0 * N * N) / N
-    disc = 729.0 * G * G - 27.0 * mu**3
-    if disc < 0.0:
-        raise ClosedFormBranchError(
-            "closed form leaves the real branch (27 G^2 < mu^3); "
-            "use the numeric search"
-        )
-    if mu == 0.0:
-        omega = (2.0 * G) ** (1.0 / 3.0)
-    else:
-        x = -27.0 * mu**3 / (27.0 * G + math.sqrt(disc))
-        u = math.copysign(abs(x) ** (1.0 / 3.0), x)
-        omega = -mu / u - u / 3.0
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ClosedFormBranchError(
-            f"closed form produced a non-positive frequency {omega!r}"
-        )
-    # stationarity gate: omega * dT/domega relative to T
-    t_val = (N * N / 4.0) * (omega + mu / omega) + g * N * (1 + 2 * N * N) / (4.0 * omega**2)
-    dt = (N * N / 4.0) * (1.0 - mu / omega**2) - g * N * (1 + 2 * N * N) / (2.0 * omega**3)
-    if abs(omega * dt) > 1e-9 * max(abs(t_val), 1.0):
-        raise ClosedFormBranchError(
-            f"closed-form root is not stationary (residual {omega * dt:.3e})"
-        )
-    return omega
 
 
 def _grid_then_golden(f, log_lo: float, log_hi: float, points: int = 161):

@@ -4,7 +4,10 @@ Everything here is deliberately built from different primitives than the
 package: explicit Hermite polynomials, factorial normalizations, raw
 log-gamma summations.  Keep it that way; these are the oracles.  The one
 exception is basis_function_value, which picks a single function out of the
-package's basis_functions for the tests that probe single values.
+package's basis_functions for the tests that probe single values, and
+reference_trace with reference_position_power_diagonal, which keep the
+diagonal's formulas as single expressions so the library's tabulated trace
+can be held to them bit for bit.
 """
 import math
 from math import lgamma
@@ -239,3 +242,104 @@ def basis_function_value(n: int, omega: float, x) -> float | np.ndarray:
     if np.ndim(x) == 0:
         return float(vals[0])
     return vals
+
+
+class ClosedFormBranchError(ValueError):
+    """The closed-form stationary point is complex or non-positive."""
+
+
+def pms_omega_quartic_closed_form(m_squared_signed: float, g: float, N: int) -> float:
+    """Closed-form stationary frequency for V = (mu/2) x^2 + g x^4.
+
+    m_squared_signed is the signed quadratic coefficient mu = 2*kappa_2
+    (negative for a double well).  The trace is
+
+        T_N = (N^2/4)(omega + mu/omega) + g N (1 + 2N^2) / (4 omega^2)
+
+    and stationarity gives the depressed cubic omega^3 - mu*omega - 2G = 0
+    with G = g (1 + 2N^2)/N.  The unique positive root is
+
+        omega = -mu / X^(1/3) - X^(1/3) / 3,
+        X = -27 G + sqrt(729 G^2 - 27 mu^3),
+
+    evaluated here with X rationalized to -27 mu^3 / (27G + sqrt(...)) because
+    the direct difference cancels catastrophically when |mu|^3 << 27 G^2.
+    Raises ClosedFormBranchError when the square root turns complex (three
+    real stationary points; the numeric search is authoritative there) or the
+    root fails to be a positive stationary point.
+    """
+    if g <= 0.0:
+        raise ValueError(f"quartic coupling must be positive, got {g!r}")
+    if N < 1:
+        raise ValueError(f"block dimension must be >= 1, got {N}")
+    mu = float(m_squared_signed)
+    G = g * (1.0 + 2.0 * N * N) / N
+    disc = 729.0 * G * G - 27.0 * mu**3
+    if disc < 0.0:
+        raise ClosedFormBranchError(
+            "closed form leaves the real branch (27 G^2 < mu^3); "
+            "use the numeric search"
+        )
+    if mu == 0.0:
+        omega = (2.0 * G) ** (1.0 / 3.0)
+    else:
+        x = -27.0 * mu**3 / (27.0 * G + math.sqrt(disc))
+        u = math.copysign(abs(x) ** (1.0 / 3.0), x)
+        omega = -mu / u - u / 3.0
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise ClosedFormBranchError(
+            f"closed form produced a non-positive frequency {omega!r}"
+        )
+    # stationarity gate: omega * dT/domega relative to T
+    t_val = (N * N / 4.0) * (omega + mu / omega) + g * N * (1 + 2 * N * N) / (4.0 * omega**2)
+    dt = (N * N / 4.0) * (1.0 - mu / omega**2) - g * N * (1 + 2 * N * N) / (2.0 * omega**3)
+    if abs(omega * dt) > 1e-9 * max(abs(t_val), 1.0):
+        raise ClosedFormBranchError(
+            f"closed-form root is not stationary (residual {omega * dt:.3e})"
+        )
+    return omega
+
+
+def reference_position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
+    """(x^p)_{n,n} written as one expression per power, with no split into
+    omega-free parts; the library must agree with it bit for bit."""
+    n = np.asarray(n, dtype=int)
+    if p == 0:
+        return np.ones(n.shape)
+    if p % 2 == 1:
+        return np.zeros(n.shape)
+    if p == 2:
+        return (2.0 * n + 1.0) / (2.0 * omega)
+    if p == 4:
+        return 3.0 * (2.0 * n * n + 2.0 * n + 1.0) / (4.0 * omega**2)
+    if p == 6:
+        return (2.5 * n**3 + 3.75 * n**2 + 5.0 * n + 1.875) / omega**3
+    if p == 8:
+        return (4.375 * n**4 + 8.75 * n**3 + 21.875 * n**2 + 17.5 * n
+                + 6.5625) / omega**4
+    r = p // 2
+    ks = np.arange(r + 1)
+    logt = (
+        gammaln(p + 1)
+        - (p - ks)[None, :] * math.log(2.0)
+        - gammaln(r - ks + 1)[None, :]
+        + gammaln(n + 1)[:, None]
+        - gammaln(np.maximum(n[:, None] - ks[None, :], 0) + 1)
+        - 2.0 * gammaln(ks + 1)[None, :]
+    )
+    terms = np.exp(logt)
+    terms[n[:, None] < ks[None, :]] = 0.0
+    return terms.sum(axis=1) / omega**r
+
+
+def reference_trace(pot, cfg) -> float:
+    """The block trace rebuilt from scratch on every call, in the library's
+    order of accumulation: kinetic sum, then kappa_j times each diagonal sum."""
+    shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
+    n = cfg.center + np.arange(cfg.dim)
+    total = float(np.sum(cfg.omega * (2.0 * n + 1.0) / 4.0))
+    for j, kj in enumerate(shifted.coeffs):
+        if kj == 0.0 or j % 2 == 1:
+            continue
+        total += kj * float(np.sum(reference_position_power_diagonal(j, cfg.omega, n)))
+    return total

@@ -171,6 +171,32 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
     assert not (tmp_path / "o").exists()
 
 
+_QUARTIC = {"kind": "quartic", "m2": 1.0, "g": 1.0}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("spectrum", {"potential": _QUARTIC,
+                  "solver": {"dim": 6, "optimize_sigma": "false"}}),
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6, "optimize_sigma": 1}}),
+    ("spectrum", {"potential": _QUARTIC,
+                  "solver": {"dim": 6, "optimize_sigma": None}}),
+    ("convergence", {"potential": _QUARTIC,
+                     "solver": {"dims": [4, 6], "optimize_sigma": "true"}}),
+    ("evolve", {**_EVOLVE_CFG, "solver": {"dim": 20, "optimize_sigma": 0}}),
+    ("evolve", {**_EVOLVE_CFG,
+                "evolution": {**_EVOLVE_CFG["evolution"], "quadrature": "false"}}),
+    ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": [True, 4]},
+                    "scan": {"omega_min": 0.1, "omega_max": 10.0, "points": 5}}),
+    ("convergence", {"potential": _QUARTIC, "solver": {"dims": [4, True]}}),
+])
+def test_non_boolean_flags_and_boolean_dims_are_config_errors(tmp_path, capsys,
+                                                              command, cfg):
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path, {
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},

@@ -5,20 +5,26 @@ import pytest
 
 from varosc import (
     BasisConfig,
-    ClosedFormBranchError,
     ConvergenceError,
     PolynomialPotential,
     assemble_hamiltonian,
     asym_demo,
     from_double_well,
     from_quartic,
-    pms_omega_quartic_closed_form,
     pms_optimize,
     trace,
     trace_scan,
 )
 
-from oracles import golden_min
+from oracles import (
+    ClosedFormBranchError,
+    golden_min,
+    pms_omega_quartic_closed_form,
+    reference_position_power_diagonal,
+    reference_trace,
+)
+from varosc.oscbasis import position_power_diagonal
+from varosc.pms import _trace_tables
 
 
 def quartic_trace_formula(omega, mu2, g, N):
@@ -61,6 +67,41 @@ def test_trace_matches_assembled_hamiltonian():
         diag_path = trace(pot, cfg)
         matrix_path = float(np.trace(assemble_hamiltonian(pot, cfg).entries))
         assert diag_path == pytest.approx(matrix_path, rel=1e-12)
+
+
+def test_trace_is_bit_identical_to_rebuilt_diagonal():
+    # (dim, center) keys drawn from a pool larger than the cache and
+    # interleaved, so a stale, shared or evicted entry would change a bit
+    rng = np.random.default_rng(23)
+    keys = [(int(rng.integers(1, 301)), int(rng.integers(0, 60))) for _ in range(40)]
+    hot = [(7, 0), (7, 3), (8, 0)]
+    for case in range(400):
+        pool = hot if rng.random() < 0.5 else keys
+        dim, center = pool[int(rng.integers(len(pool)))]
+        degree = int(rng.choice([2, 4, 6, 8, 10, 12]))
+        coeffs = rng.normal(size=degree + 1)
+        coeffs[rng.random(degree + 1) < 0.25] = 0.0
+        coeffs[-1] = rng.uniform(0.01, 5.0)
+        pot = PolynomialPotential(tuple(float(c) for c in coeffs))
+        omega = float(10.0 ** rng.uniform(-3.0, 5.0))
+        if case % 2:
+            omega = np.float64(omega)
+        sigma = 0.0 if case % 5 == 0 else float(rng.uniform(-3.0, 3.0))
+        cfg = BasisConfig(dim=dim, omega=omega, sigma=sigma, center=center)
+        assert trace(pot, cfg) == reference_trace(pot, cfg), (case, cfg, degree)
+        n = center + np.arange(dim)
+        for p in range(degree + 3):
+            got = position_power_diagonal(p, omega, n)
+            want = reference_position_power_diagonal(p, omega, n)
+            assert np.array_equal(got, want), (case, p, cfg)
+
+
+def test_trace_tables_are_read_only():
+    kin, parts = _trace_tables(5, 2, 12)
+    assert [j for j, _, _ in parts] == [2, 4, 6, 8, 10, 12]
+    for arr in (kin, *(num for _, num, _ in parts)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ------------------------------------------------------------- closed form
