@@ -2,9 +2,10 @@
 
 Pipeline: a confining polynomial potential is represented exactly, the
 oscillator-basis frequency (and optionally a coordinate shift) is fixed at a
-stationary point of the truncated Hamiltonian trace, the resulting dense
-symmetric matrix is diagonalized, and Gaussian initial states are propagated
-by the method of stationary states.
+stationary point of the truncated Hamiltonian trace, the resulting banded
+symmetric matrix is assembled in band storage and diagonalized (densified
+only when every eigenpair is needed), and Gaussian initial states are
+propagated by the method of stationary states.
 """
 
 from .eigen import DiagonalizationError, EigenSolution, diagonalize

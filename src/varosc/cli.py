@@ -69,10 +69,12 @@ def _flag(cfg: dict, path: str) -> bool:
 
 
 def _dims(dims) -> list[int]:
-    """A list of positive integer block dimensions (JSON true is not one)."""
-    if not isinstance(dims, list) or not all(
+    """A non-empty list of positive integer block dimensions (JSON true is not one)."""
+    if not isinstance(dims, list) or not dims or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in dims):
-        raise ConfigError("config field 'solver.dims' must be a list of positive integers")
+        raise ConfigError(
+            "config field 'solver.dims' must be a non-empty list of positive integers"
+        )
     return dims
 
 
@@ -148,6 +150,9 @@ def cmd_spectrum(cfg: dict, args) -> int:
     n_dim = _num(cfg, "solver.dim", kind=int, required=True, positive=True)
     opt_sigma = _flag(cfg, "solver.optimize_sigma")
     target = _num(cfg, "solver.target_level", kind=int)
+    if target is not None and opt_sigma:
+        raise ConfigError("solver.optimize_sigma cannot be combined with "
+                          "solver.target_level: a centered block is solved at sigma = 0")
     levels = sp.block_levels(n_dim, target)
     if args.levels:
         levels = _parse_levels(args.levels, levels.start, levels.stop)
@@ -225,8 +230,9 @@ def _initial_states(cfg: dict) -> list[tuple[str, ev.InitialGaussian]]:
     widths = _get(cfg, "evolution.widths")
     if widths is None:
         widths = [_num(cfg, "evolution.width", required=True, positive=True)]
-    if not isinstance(widths, list) or not all(_is_number(v) and v > 0 for v in widths):
-        raise ConfigError("evolution.widths must be a list of positive finite numbers")
+    if not isinstance(widths, list) or not widths or not all(
+            _is_number(v) and v > 0 for v in widths):
+        raise ConfigError("evolution.widths must be a non-empty list of positive finite numbers")
     states = []
     for w in widths:
         tag = "" if len(widths) == 1 else f"_w{w:g}"

@@ -14,8 +14,9 @@ max(deg V, 2).  Matrix elements of x^p are built exactly in band storage by
 applying the ladder p times on an index range enlarged by p on each side, so
 that truncation never corrupts the returned block (a length-p hopping path
 cannot leave the enlarged range and return).  The Hamiltonian is summed band
-by band and densified once.  The tests check every element against a
-closed-form summation and Gauss-Hermite quadrature.
+by band and stays in that band storage; a dense copy is formed only where a
+caller asks for one.  The tests check every element against a closed-form
+summation and Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ __all__ = [
     "BasisConfig",
     "HamiltonianMatrix",
     "position_power_matrix",
-    "position_power_diagonal",
     "momentum_squared_matrix",
     "assemble_hamiltonian",
     "basis_functions",
@@ -68,14 +68,25 @@ class BasisConfig:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense symmetric Hamiltonian block with its generating configuration."""
+    """Symmetric Hamiltonian block in LAPACK lower band storage.
 
-    entries: np.ndarray
+    bands[k, i] = H[i, i+k] = H[i+k, i] for k = 0..kd, with zeros past the
+    block edge (i + k >= dim); symmetric by construction.
+    """
+
+    bands: np.ndarray
     config: BasisConfig
-    potential: PolynomialPotential
 
     def __post_init__(self):
-        self.entries.flags.writeable = False
+        if self.bands.ndim != 2 or self.bands.shape[1] != self.config.dim:
+            raise ValueError(
+                f"expected bands of shape (kd+1, {self.config.dim}), got {self.bands.shape}"
+            )
+        self.bands.flags.writeable = False
+
+    def dense(self) -> np.ndarray:
+        """The full dim x dim matrix, exactly symmetric."""
+        return _densify(self.bands)
 
 
 def _check_omega(omega: float):
@@ -152,8 +163,7 @@ def _diagonal_parts(p: int, n: np.ndarray) -> tuple[np.ndarray, float]:
     """Omega-free parts of (x^p)_{n,n} = num / (c * omega^(p/2)), p even >= 2.
 
     Split this way so the trace can tabulate num once per block and do only
-    the omega-dependent division per call, with the same operands as
-    position_power_diagonal's single division.
+    the omega-dependent division per call.
     """
     if p == 2:
         return 2.0 * n + 1.0, 2.0
@@ -180,25 +190,6 @@ def _diagonal_parts(p: int, n: np.ndarray) -> tuple[np.ndarray, float]:
     return terms.sum(axis=1), 1.0
 
 
-def position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
-    """Diagonal elements (x^p)_{n,n} for an array of global indices n.
-
-    Zero for odd p by parity.  The low even powers carry explicit
-    polynomial forms; pms.trace tabulates the omega-free numerators of
-    _diagonal_parts once per block instead of calling this per evaluation.
-    """
-    _check_omega(omega)
-    n = np.asarray(n, dtype=int)
-    if p < 0:
-        raise ValueError(f"power must be >= 0, got {p}")
-    if p == 0:
-        return np.ones(n.shape)
-    if p % 2 == 1:
-        return np.zeros(n.shape)
-    num, c = _diagonal_parts(p, n)
-    return num / (c * omega**(p // 2))
-
-
 def _momentum_squared_bands(omega: float, dim: int, center: int) -> np.ndarray:
     """Upper bands of p^2: diagonal omega*(2n+1)/2, second off-diagonal
     -(omega/2)*sqrt((n+1)(n+2)); the first vanishes by parity."""
@@ -222,7 +213,7 @@ def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> Hamilton
     The shift is applied to the potential coefficients exactly.  H is banded
     with half bandwidth kd = max(degree, 2): the kinetic bands (offsets 0 and
     2) and kappa_j times the bands of each x^j are summed into one
-    (kd+1) x dim array, which is densified once, exactly symmetric.
+    (kd+1) x dim array, trimmed to at most dim rows, and returned as is.
     """
     shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
     bands = np.zeros((max(shifted.degree, 2) + 1, cfg.dim))
@@ -233,7 +224,7 @@ def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> Hamilton
         if j == 0 or kj == 0.0:
             continue
         bands[:j + 1] += kj * _power_bands(j, cfg.omega, cfg.dim, cfg.center)
-    return HamiltonianMatrix(entries=_densify(bands), config=cfg, potential=pot)
+    return HamiltonianMatrix(bands=bands[:cfg.dim], config=cfg)
 
 
 def _hermite_rows(nmax: int, y: np.ndarray, h0: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ exception is basis_function_value, which picks a single function out of the
 package's basis_functions for the tests that probe single values, and
 reference_trace with reference_position_power_diagonal, which keep the
 diagonal's formulas as single expressions so the library's tabulated trace
-can be held to them bit for bit.
+can be held to them bit for bit.  lower_bands turns a dense symmetric test
+matrix into the band storage the eigensolver takes.
 """
 import math
 from math import lgamma
@@ -343,3 +344,26 @@ def reference_trace(pot, cfg) -> float:
             continue
         total += kj * float(np.sum(reference_position_power_diagonal(j, cfg.omega, n)))
     return total
+
+
+def lower_bands(a: np.ndarray) -> np.ndarray:
+    """Lower band storage out[k, i] = a[i+k, i] for k = 0..kd, kd the bandwidth of a.
+
+    Checks exact symmetry on the way: each diagonal must equal its mirror,
+    and the bands must hold every nonzero entry of a, so nothing outside
+    them can break the symmetry.
+    """
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    outside = np.count_nonzero(a)
+    bands = []
+    for k in range(n):
+        low = np.diagonal(a, -k)
+        if not np.array_equal(low, np.diagonal(a, k)):
+            raise ValueError("matrix is not exactly symmetric")
+        bands.append(np.pad(low, (0, k)))
+        outside -= np.count_nonzero(low) * (2 if k else 1)
+        if outside == 0:
+            break
+    return np.array(bands)

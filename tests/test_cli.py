@@ -197,6 +197,37 @@ def test_non_boolean_flags_and_boolean_dims_are_config_errors(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_optimize_sigma_with_target_level_is_config_error(tmp_path, capsys, monkeypatch):
+    import varosc.spectrum
+
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(varosc.spectrum, "pms_optimize", never)
+    path = write_config(tmp_path, {
+        "potential": {"kind": "asym_demo"},
+        "solver": {"dim": 21, "target_level": 30, "optimize_sigma": True},
+    })
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "target_level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_SCAN = {"omega_min": 0.1, "omega_max": 10.0, "points": 5}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"], "widths": []}}),
+    ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": []}, "scan": _SCAN}),
+    ("convergence", {"potential": _QUARTIC, "solver": {"dims": []}}),
+])
+def test_empty_lists_are_config_errors(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "non-empty list" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path, {
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},

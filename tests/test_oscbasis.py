@@ -13,7 +13,7 @@ from varosc import (
     momentum_squared_matrix,
     position_power_matrix,
 )
-from varosc.oscbasis import position_power_diagonal
+from varosc.pms import _trace_tables
 
 from oracles import basis_function_value, gh_position_block, position_power_closed_form
 
@@ -152,13 +152,14 @@ def test_closed_form_matches_band_recurrence_large_block():
 
 
 def test_diagonal_path_matches_matrix_diagonal():
-    n = np.arange(30)
     # p = 10 exercises the general log-gamma branch behind the fast paths
-    for p in (0, 2, 4, 6, 8, 10):
-        diag = position_power_diagonal(p, 0.9, n)
-        full = np.diag(position_power_matrix(p, 0.9, 30))
-        np.testing.assert_allclose(diag, full, rtol=1e-12)
-    assert np.all(position_power_diagonal(3, 0.9, n) == 0.0)
+    omega = 0.9
+    for center in (0, 40):
+        _, parts = _trace_tables(30, center, 10)
+        assert [j for j, _, _ in parts] == [2, 4, 6, 8, 10]
+        for j, num, c in parts:
+            full = np.diag(position_power_matrix(j, omega, 30, center=center))
+            np.testing.assert_allclose(num / (c * omega**(j // 2)), full, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- momentum
@@ -179,7 +180,7 @@ def test_sho_matched_basis_is_diagonal():
     m_osc = 1.7
     pot = PolynomialPotential((0.0, 0.0, m_osc**2 / 2.0))
     cfg = BasisConfig(dim=12, omega=m_osc)
-    h = assemble_hamiltonian(pot, cfg).entries
+    h = assemble_hamiltonian(pot, cfg).dense()
     np.testing.assert_allclose(h, np.diag(m_osc * (np.arange(12) + 0.5)),
                                rtol=1e-13, atol=1e-13)
 
@@ -187,7 +188,7 @@ def test_sho_matched_basis_is_diagonal():
 def test_single_element_quartic_block():
     pot = from_quartic(1.0, 1000.0)
     for omega in (5.0, 40.0):
-        h = assemble_hamiltonian(pot, BasisConfig(dim=1, omega=omega)).entries
+        h = assemble_hamiltonian(pot, BasisConfig(dim=1, omega=omega)).dense()
         expected = omega / 4.0 + 1.0 / (4.0 * omega) + 3000.0 / (4.0 * omega**2)
         assert h[0, 0] == pytest.approx(expected, rel=1e-14)
 
@@ -196,8 +197,8 @@ def test_double_well_is_sign_flipped_quartic():
     lam, a = 0.01, 5.0
     m2, g = lam * a * a / 6.0, lam / 24.0
     cfg = BasisConfig(dim=10, omega=0.5)
-    h_dw = assemble_hamiltonian(from_double_well(lam, a), cfg).entries
-    h_up = assemble_hamiltonian(from_quartic(m2, g, 1), cfg).entries
+    h_dw = assemble_hamiltonian(from_double_well(lam, a), cfg).dense()
+    h_up = assemble_hamiltonian(from_quartic(m2, g, 1), cfg).dense()
     x2 = position_power_matrix(2, cfg.omega, cfg.dim)
     np.testing.assert_allclose(h_dw, h_up - m2 * x2, rtol=1e-13, atol=1e-16)
 
@@ -205,7 +206,7 @@ def test_double_well_is_sign_flipped_quartic():
 def test_assembled_matrix_symmetric_and_banded():
     pot = from_quartic(2.0, 3.0, -1).shift(0.0)
     cfg = BasisConfig(dim=18, omega=1.1, sigma=0.4)
-    h = assemble_hamiltonian(pot, cfg).entries
+    h = assemble_hamiltonian(pot, cfg).dense()
     assert np.array_equal(h, h.T)
     bw = max(pot.degree, 2)
     for n in range(18):
@@ -214,10 +215,19 @@ def test_assembled_matrix_symmetric_and_banded():
                 assert h[n, l] == 0.0
 
 
+def test_bands_are_read_only_and_trimmed_to_the_block():
+    h = assemble_hamiltonian(from_quartic(1.0, 2.0), BasisConfig(dim=12, omega=1.0))
+    assert h.bands.shape == (5, 12)
+    with pytest.raises(ValueError):
+        h.bands[0, 0] = 0.0
+    small = assemble_hamiltonian(from_quartic(1.0, 2.0), BasisConfig(dim=2, omega=1.0))
+    assert small.bands.shape == (2, 2)
+
+
 def test_assembly_applies_shift_to_potential():
     pot = from_quartic(1.0, 2.0)
     cfg = BasisConfig(dim=8, omega=1.0, sigma=-0.6)
-    h = assemble_hamiltonian(pot, cfg).entries
+    h = assemble_hamiltonian(pot, cfg).dense()
     manual = 0.5 * momentum_squared_matrix(1.0, 8)
     for j, kj in enumerate(pot.shift(-0.6).coeffs):
         if kj != 0.0:

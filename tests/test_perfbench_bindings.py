@@ -1,0 +1,43 @@
+"""The library names that perfbench/tracer.py binds by name.
+
+The tracer wraps the public functions of the layer modules where they are
+bound, and it reads its counts from argument names and result fields.  A
+rename here would make a benchmark metric read 0 or fail the benchmark run,
+and the benchmark's own self-test is not part of this suite.
+"""
+import importlib
+import inspect
+
+import varosc.evolve
+import varosc.pms
+import varosc.spectrum
+from varosc import BasisConfig, PolynomialPotential, assemble_hamiltonian, from_quartic
+
+LAYERS = ("cli", "potential", "pms", "oscbasis", "eigen", "spectrum", "evolve")
+
+
+def params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def public_functions(module, prefix):
+    return [getattr(module, name) for name in module.__all__
+            if name.startswith(prefix) and inspect.isfunction(getattr(module, name))]
+
+
+def test_names_perfbench_binds():
+    for layer in LAYERS:
+        importlib.import_module(f"varosc.{layer}")
+    assert varosc.spectrum.pms_optimize is varosc.pms.pms_optimize
+    assert inspect.isfunction(PolynomialPotential.__dict__["shift"])
+    h = assemble_hamiltonian(from_quartic(1.0, 1.0), BasisConfig(dim=4, omega=1.0))
+    assert h.config.dim == 4
+    assert params(varosc.evolve.observables_series)[:2] == ["state", "times"]
+    for module in (varosc.spectrum, varosc.evolve):
+        writers = public_functions(module, "write_")
+        assert writers, module.__name__
+        for fn in writers:
+            assert params(fn)[0] == "path", fn.__name__
+    assert params(varosc.spectrum.write_levels_csv)[1:3] == ["report", "levels"]
+    assert params(varosc.spectrum.write_convergence_csv)[1] == "study"
+    assert public_functions(varosc.evolve, "project_")

@@ -90,7 +90,7 @@ def test_single_element_center_is_variational_value():
 
         def diag(logw):
             cfg = BasisConfig(dim=1, omega=math.exp(logw), center=n)
-            return float(assemble_hamiltonian(pot, cfg).entries[0, 0])
+            return float(assemble_hamiltonian(pot, cfg).dense()[0, 0])
 
         best = diag(golden_min(diag, math.log(1.0), math.log(500.0)))
         assert rep.energies[0] == pytest.approx(best, rel=1e-9)
