@@ -46,10 +46,14 @@ def _is_number(val) -> bool:
             and math.isfinite(val))
 
 
+_ABSENT = object()
+
+
 def _num(cfg, path, kind=float, required=False, default=None, positive=False):
-    val = _get(cfg, path, default=default, required=required)
-    if val is None:
-        return None
+    """A finite number field, default when absent; JSON null is a config error."""
+    val = _get(cfg, path, default=_ABSENT, required=required)
+    if val is _ABSENT:
+        return default
     if not _is_number(val):
         raise ConfigError(f"config field '{path}' must be a finite number, got {val!r}")
     if kind is int and not float(val).is_integer():
@@ -298,7 +302,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--levels", help="level range a..b for levels.csv")
+        if name == "spectrum":
+            p.add_argument("--levels", help="level range a..b for levels.csv")
     args = parser.parse_args(argv)
 
     try:

@@ -20,11 +20,12 @@ summation and Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .potential import PolynomialPotential
 
@@ -159,35 +160,26 @@ def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np
     return _densify(_power_bands(p, omega, dim, center))
 
 
-def _diagonal_parts(p: int, n: np.ndarray) -> tuple[np.ndarray, float]:
-    """Omega-free parts of (x^p)_{n,n} = num / (c * omega^(p/2)), p even >= 2.
+@functools.lru_cache(maxsize=64)
+def _block_moments(dim: int, center: int, degree: int) -> tuple[float, ...]:
+    """Block moments D_j = sum_n (x^j)_{n,n} omega^(j/2), n in [center, center+dim).
 
-    Split this way so the trace can tabulate num once per block and do only
-    the omega-dependent division per call.
+    One float per even j in 2..degree, each summed exactly and rounded once:
+    (x^j)_{n,n} omega^(j/2) = sum_{k<=j/2} j! / (2^(j-k) (j/2-k)! (k!)^2) n^(k)
+    in falling factorials n^(k) = n (n-1) ... (n-k+1), and
+    sum_{n=c}^{c+N-1} n^(k) = ((c+N)^(k+1) - c^(k+1)) / (k+1).
     """
-    if p == 2:
-        return 2.0 * n + 1.0, 2.0
-    if p == 4:
-        return 3.0 * (2.0 * n * n + 2.0 * n + 1.0), 4.0
-    if p == 6:
-        return 2.5 * n**3 + 3.75 * n**2 + 5.0 * n + 1.875, 1.0
-    if p == 8:
-        return (4.375 * n**4 + 8.75 * n**3 + 21.875 * n**2 + 17.5 * n
-                + 6.5625), 1.0
-    r = p // 2
-    ks = np.arange(r + 1)
-    # summand: p! n! / (2^(p-k) (r-k)! (n-k)! (k!)^2), truncated at k <= n
-    logt = (
-        gammaln(p + 1)
-        - (p - ks)[None, :] * math.log(2.0)
-        - gammaln(r - ks + 1)[None, :]
-        + gammaln(n + 1)[:, None]
-        - gammaln(np.maximum(n[:, None] - ks[None, :], 0) + 1)
-        - 2.0 * gammaln(ks + 1)[None, :]
-    )
-    terms = np.exp(logt)
-    terms[n[:, None] < ks[None, :]] = 0.0
-    return terms.sum(axis=1), 1.0
+    out = []
+    for j in range(2, degree + 1, 2):
+        r = j // 2
+        total = Fraction(0)
+        for k in range(r + 1):
+            # math.perm(x, k) is the falling factorial x^(k), 0 when k > x
+            block_sum = math.perm(center + dim, k + 1) - math.perm(center, k + 1)
+            total += Fraction(math.factorial(j) * block_sum,
+                              2**(j - k) * math.factorial(r - k) * math.factorial(k)**2 * (k + 1))
+        out.append(float(total))
+    return tuple(out)
 
 
 def _momentum_squared_bands(omega: float, dim: int, center: int) -> np.ndarray:

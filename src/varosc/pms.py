@@ -13,15 +13,14 @@ returned so results are reproducible.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .oscbasis import BasisConfig, _diagonal_parts
-from .potential import PolynomialPotential
+from .oscbasis import BasisConfig, _block_moments
+from .potential import PolynomialPotential, _shifted_coeffs
 
 __all__ = [
     "PmsResult",
@@ -55,56 +54,40 @@ class PmsResult:
     stationarity_residual: float
 
 
-@functools.lru_cache(maxsize=32)
-def _trace_tables(dim: int, center: int, degree: int):
-    """Omega-free parts of the block's diagonal, tabulated once per block.
-
-    Returns the kinetic array 2n+1 and (j, num_j, c_j) for each even j in
-    2..degree, with (x^j)_nn = num_j / (c_j omega^(j/2)); the arrays are
-    read-only because every caller with the same key shares them.
-    """
-    n = center + np.arange(dim)
-    kin = 2.0 * n + 1.0
-    kin.flags.writeable = False
-    parts = []
-    for j in range(2, degree + 1, 2):
-        num, c = _diagonal_parts(j, n)
-        num.flags.writeable = False
-        parts.append((j, num, c))
-    return kin, tuple(parts)
+def _block_trace(omega, pot: PolynomialPotential, sigma: float, dim: int, center: int):
+    """T = (omega/4) N (N + 2c) + kappa_0 N + sum_{h>=1} kappa_2h D_2h omega^(-h),
+    for omega a float or an array, kappa the coefficients of V(x + sigma)."""
+    kappas = _shifted_coeffs(pot.coeffs, sigma, 2) if sigma != 0.0 else pot.coeffs[::2]
+    total = 0.25 * omega * (dim * (dim + 2 * center)) + kappas[0] * dim
+    for h, d in enumerate(_block_moments(dim, center, pot.degree), 1):
+        if kappas[h] != 0.0:
+            total = total + kappas[h] * d * omega**-h
+    return total
 
 
 def trace(pot: PolynomialPotential, cfg: BasisConfig) -> float:
-    """Trace of the Hamiltonian block from diagonal elements alone.
+    """Trace of the Hamiltonian block in closed form, as a Python float.
 
-    Only even powers of x have nonvanishing diagonal elements, so the shift
-    enters exclusively through the re-expanded coefficients.  Never builds a
-    matrix; the omega-free diagonal tables come from a per-block cache, so a
-    call costs one O(dim) divide and sum per even power.
+    Only even powers of x have diagonal elements, so
+
+        T = (omega/4) N (N + 2c) + kappa_0 N + sum_{even j>=2} kappa_j D_j omega^(-j/2),
+
+    with kappa_j the coefficients of V(x + sigma) and D_j the block moments,
+    summed exactly once per (dim, center, degree) and cached.  A call costs
+    O(deg V), whatever the block size, and builds no matrix or potential.
     """
-    shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
-    kin, parts = _trace_tables(cfg.dim, cfg.center, shifted.degree)
-    omega = cfg.omega
-    # kinetic part: (p^2)_nn / 2 = omega (2n+1) / 4.  ndarray.sum is the
-    # np.add.reduce that np.sum dispatches to, without the dispatch cost
-    total = float((omega * kin / 4.0).sum())
-    if shifted.coeffs[0] != 0.0:
-        total += shifted.coeffs[0] * float(cfg.dim)
-    for j, num, c in parts:
-        kj = shifted.coeffs[j]
-        if kj != 0.0:
-            total += kj * float((num / (c * omega**(j // 2))).sum())
-    return total
+    return _block_trace(float(cfg.omega), pot, float(cfg.sigma), cfg.dim, cfg.center)
 
 
 def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray,
                sigma: float = 0.0) -> np.ndarray:
-    """Tabulate T_N/N over a frequency grid (for trace-versus-omega plots)."""
+    """T_N/N over a frequency grid: trace's closed form on the whole array at once."""
     omegas = np.asarray(omegas, dtype=float)
-    return np.array([
-        trace(pot, BasisConfig(dim=dim, omega=w, sigma=sigma)) / dim
-        for w in omegas
-    ])
+    if dim < 1:
+        raise ValueError(f"basis dimension must be >= 1, got {dim}")
+    if not (np.all((omegas > 0.0) & np.isfinite(omegas)) and math.isfinite(sigma)):
+        raise ValueError("basis frequencies must be positive and finite, and the shift finite")
+    return _block_trace(omegas, pot, float(sigma), dim, 0) / dim
 
 
 def _grid_then_golden(f, log_lo: float, log_hi: float, points: int = 161):

@@ -6,6 +6,7 @@ upward; degrees stay small (<= ~12) so sparsity buys nothing.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,32 @@ __all__ = [
     "from_double_well",
     "asym_demo",
 ]
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_plan(coeffs: tuple[float, ...], stride: int):
+    """Per output i = 0, stride, ...: pairs (kappa_j C(j, i), j - i), j >= i upward."""
+    return tuple(tuple((kj * math.comb(j, i), j - i) for j, kj in enumerate(coeffs)
+                       if j >= i and kj != 0.0)
+                 for i in range(0, len(coeffs), stride))
+
+
+def _shifted_coeffs(coeffs: tuple[float, ...], sigma: float, stride: int = 1) -> list[float]:
+    """Coefficients kappa'_i of V(x + sigma) for i = 0, stride, 2 stride, ...
+
+    Binomial expansion on plain floats, kappa'_i = sum_{j>=i} kappa_j
+    C(j, i) sigma^(j-i), accumulated over j upward; the products
+    kappa_j C(j, i) are planned once per potential.  stride=2 gives only the
+    even powers, the ones a diagonal element sees.
+    """
+    powers = [sigma**k for k in range(len(coeffs))]
+    out = []
+    for row in _shift_plan(coeffs, stride):
+        acc = 0.0
+        for c, k in row:
+            acc += c * powers[k]
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,8 +60,7 @@ class PolynomialPotential:
 
     def __post_init__(self):
         c = [float(v) for v in self.coeffs]
-        # one sum is non-finite whenever any term is; shift() builds
-        # thousands of potentials per PMS search, so this stays one call
+        # one sum is non-finite whenever any term is
         if not math.isfinite(sum(c)):
             raise ValueError(f"potential coefficients must be finite, got {tuple(c)}")
         while c and c[-1] == 0.0:
@@ -63,17 +89,10 @@ class PolynomialPotential:
     def shift(self, sigma: float) -> "PolynomialPotential":
         """Return the potential V(x + sigma), re-expanded exactly.
 
-        Binomial expansion: kappa'_i = sum_{j>=i} kappa_j C(j, i) sigma^(j-i).
-        Degree and leading coefficient are unchanged.
+        The coefficients come from _shifted_coeffs, the one re-expansion
+        path; degree and leading coefficient are unchanged.
         """
-        n = self.degree
-        out = [0.0] * (n + 1)
-        for j, kj in enumerate(self.coeffs):
-            if kj == 0.0:
-                continue
-            for k in range(j + 1):
-                out[j - k] += kj * math.comb(j, k) * sigma**k
-        return PolynomialPotential(tuple(out))
+        return PolynomialPotential(tuple(_shifted_coeffs(self.coeffs, sigma)))
 
     def evaluate(self, x):
         """Evaluate V(x) by Horner's rule; accepts scalars or arrays."""

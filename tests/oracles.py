@@ -4,15 +4,19 @@ Everything here is deliberately built from different primitives than the
 package: explicit Hermite polynomials, factorial normalizations, raw
 log-gamma summations.  Keep it that way; these are the oracles.  The one
 exception is basis_function_value, which picks a single function out of the
-package's basis_functions for the tests that probe single values, and
-reference_trace with reference_position_power_diagonal, which keep the
-diagonal's formulas as single expressions so the library's tabulated trace
-can be held to them bit for bit.  lower_bands turns a dense symmetric test
+package's basis_functions for the tests that probe single values.
+exact_trace and exact_stationary_point build the block trace from exact
+rationals (diagonal elements by applying the ladder operators to |n>) and
+evaluate it with mpmath.  lower_bands turns a dense symmetric test
 matrix into the band storage the eigensolver takes.
 """
+import functools
 import math
+from collections import defaultdict
+from fractions import Fraction
 from math import lgamma
 
+import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite, gammaln, roots_hermite
@@ -301,49 +305,90 @@ def pms_omega_quartic_closed_form(m_squared_signed: float, g: float, N: int) -> 
     return omega
 
 
-def reference_position_power_diagonal(p: int, omega: float, n: np.ndarray) -> np.ndarray:
-    """(x^p)_{n,n} written as one expression per power, with no split into
-    omega-free parts; the library must agree with it bit for bit."""
-    n = np.asarray(n, dtype=int)
-    if p == 0:
-        return np.ones(n.shape)
-    if p % 2 == 1:
-        return np.zeros(n.shape)
-    if p == 2:
-        return (2.0 * n + 1.0) / (2.0 * omega)
-    if p == 4:
-        return 3.0 * (2.0 * n * n + 2.0 * n + 1.0) / (4.0 * omega**2)
-    if p == 6:
-        return (2.5 * n**3 + 3.75 * n**2 + 5.0 * n + 1.875) / omega**3
-    if p == 8:
-        return (4.375 * n**4 + 8.75 * n**3 + 21.875 * n**2 + 17.5 * n
-                + 6.5625) / omega**4
-    r = p // 2
-    ks = np.arange(r + 1)
-    logt = (
-        gammaln(p + 1)
-        - (p - ks)[None, :] * math.log(2.0)
-        - gammaln(r - ks + 1)[None, :]
-        + gammaln(n + 1)[:, None]
-        - gammaln(np.maximum(n[:, None] - ks[None, :], 0) + 1)
-        - 2.0 * gammaln(ks + 1)[None, :]
-    )
-    terms = np.exp(logt)
-    terms[n[:, None] < ks[None, :]] = 0.0
-    return terms.sum(axis=1) / omega**r
+@functools.lru_cache(maxsize=None)
+def _ladder_diagonal(p: int, n: int) -> int:
+    """<n|(a + a^dagger)^p|n> exactly, by applying the ladder to |n> p times.
+
+    With the state written as sum_m u_m sqrt(m!/n!) |m>, a^dagger moves u_m to
+    u_{m+1} and a moves m u_m to u_{m-1}, so every u_m stays an integer.
+    """
+    u = {n: 1}
+    for _ in range(p):
+        nxt = defaultdict(int)
+        for m, v in u.items():
+            nxt[m + 1] += v
+            if m:
+                nxt[m - 1] += m * v
+        u = nxt
+    return u.get(n, 0)
 
 
-def reference_trace(pot, cfg) -> float:
-    """The block trace rebuilt from scratch on every call, in the library's
-    order of accumulation: kinetic sum, then kappa_j times each diagonal sum."""
-    shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
-    n = cfg.center + np.arange(cfg.dim)
-    total = float(np.sum(cfg.omega * (2.0 * n + 1.0) / 4.0))
-    for j, kj in enumerate(shifted.coeffs):
-        if kj == 0.0 or j % 2 == 1:
-            continue
-        total += kj * float(np.sum(reference_position_power_diagonal(j, cfg.omega, n)))
-    return total
+def _exact_moment(p: int, dim: int, center: int) -> Fraction:
+    """sum_n (x^p)_{n,n} omega^(p/2) over [center, center+dim), p even, exactly."""
+    return Fraction(sum(_ladder_diagonal(p, n) for n in range(center, center + dim)),
+                    2**(p // 2))
+
+
+def _trace_monomials(coeffs, dim: int, center: int):
+    """The block trace as sum_t c_t sigma^k_t omega^e_t, exactly: (c_t, k_t, e_t).
+
+    The kinetic sum is (N (N + 2c) / 4) omega.  Each even i and each j >= i
+    gives kappa_j C(j, i) D_i sigma^(j-i) omega^(-i/2), the binomial expansion
+    of V(x + sigma) kept term by term, with the float coefficients taken as
+    exact rationals and D_0 = N.
+    """
+    out = [(Fraction(dim * (dim + 2 * center), 4), 0, 1)]
+    for i in range(0, len(coeffs), 2):
+        d_i = _exact_moment(i, dim, center) if i else Fraction(dim)
+        for j in range(i, len(coeffs)):
+            if coeffs[j] != 0.0:
+                out.append((Fraction(coeffs[j]) * math.comb(j, i) * d_i, j - i, -(i // 2)))
+    return out
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def exact_trace(pot, cfg, dps: int = 50):
+    """(T, scale) of the block trace at dps digits, as mpmath numbers.
+
+    T is exact to the working precision for the float inputs (coefficients,
+    omega and sigma taken as exact binary values).  scale is the sum of the
+    magnitudes of its terms (kinetic, and every binomial kappa-term times its
+    block moment), the size of the rounding a float evaluation can make.
+    """
+    with mpmath.workdps(dps):
+        omega, sigma = mpmath.mpf(cfg.omega), mpmath.mpf(cfg.sigma)
+        terms = [_mp(c) * sigma**k * omega**e
+                 for c, k, e in _trace_monomials(pot.coeffs, cfg.dim, cfg.center)]
+        return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+
+def exact_stationary_point(pot, dim: int, omega0: float, sigma0=None, dps: int = 40):
+    """Stationary point of the exact block trace (lowest block) near omega0, sigma0.
+
+    Newton on the analytic gradient at dps + 10 digits: in omega alone at
+    sigma = 0 when sigma0 is None, else in (omega, sigma).  Returns
+    (omega, sigma) as floats.
+    """
+    with mpmath.workdps(dps + 10):
+        mono = [(_mp(c), k, e) for c, k, e in _trace_monomials(pot.coeffs, dim, 0)]
+
+        def d_omega(omega, sigma):
+            return mpmath.fsum(c * e * sigma**k * omega**(e - 1) for c, k, e in mono if e)
+
+        def d_sigma(omega, sigma):
+            return mpmath.fsum(c * k * sigma**(k - 1) * omega**e for c, k, e in mono if k)
+
+        tol = mpmath.mpf(10)**(-dps)
+        if sigma0 is None:
+            omega = mpmath.findroot(lambda w: d_omega(w, mpmath.mpf(0)),
+                                    mpmath.mpf(omega0), tol=tol)
+            return float(omega), 0.0
+        omega, sigma = mpmath.findroot(lambda w, s: [d_omega(w, s), d_sigma(w, s)],
+                                       (mpmath.mpf(omega0), mpmath.mpf(sigma0)), tol=tol)
+        return float(omega), float(sigma)
 
 
 def lower_bands(a: np.ndarray) -> np.ndarray:

@@ -347,3 +347,41 @@ def test_shifted_sweep_writes_one_file_per_width(tmp_path):
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     names = sorted(p.name for p in (tmp_path / "o").iterdir())
     assert names == ["observables_w0.204124.csv", "observables_w0.408248.csv"]
+
+
+_SCAN_CFG = {"potential": _QUARTIC, "solver": {"dims": [4]}, "scan": _SCAN}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6}}, "solver.dim"),
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6}}, "potential.g"),
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6}}, "potential.m2"),
+    ("evolve", _EVOLVE_CFG, "potential.a"),
+    ("trace-scan", _SCAN_CFG, "scan.omega_max"),
+    ("trace-scan", _SCAN_CFG, "scan.points"),
+    ("evolve", _EVOLVE_CFG, "evolution.t_step"),
+])
+def test_null_number_fields_are_config_errors(tmp_path, capsys, command, cfg, field):
+    cfg = json.loads(json.dumps(cfg))
+    block, key = field.split(".")
+    cfg[block][key] = None
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("trace-scan", _SCAN_CFG),
+    ("evolve", _EVOLVE_CFG),
+    ("convergence", {"potential": _QUARTIC, "solver": {"dims": [4, 6]}}),
+])
+def test_levels_flag_is_spectrum_only(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+              "--levels", "0..3"])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

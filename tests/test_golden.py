@@ -2,8 +2,9 @@
 
 The files under tests/golden/<case>/ are the CLI's own outputs at 17 digits
 (observables thinned to every THIN-th row).  They are written only by
-tests/golden/regenerate.py; nothing here writes them.  Each field has a
-stated bound:
+tests/golden/regenerate.py; nothing here writes them, and
+`regenerate.py --report` prints how far each field moved in the scales
+below.  Each field has a stated bound:
 
 - levels within LEVEL_TOL * scale(E), scale(E) = max(1, |E|, E - V_min);
 - PMS omega and sigma within PMS_TOL relative;
@@ -92,8 +93,17 @@ def _scale(e: float, v_min: float) -> float:
     return max(1.0, abs(e), e - v_min)
 
 
-def _close_rel(got, want, tol, what):
-    assert abs(got - want) <= tol * abs(want), f"{what}: {got!r} vs golden {want!r}"
+class Moved(NamedTuple):
+    """One field against its golden value: within bound when err <= tol * scale."""
+
+    field: str
+    err: float
+    scale: float
+    tol: float
+
+
+def _rel(field, got, want, tol):
+    return Moved(field, abs(got - want), abs(want), tol)
 
 
 def _levels(got, want, cfg):
@@ -102,21 +112,20 @@ def _levels(got, want, cfg):
     assert (g_comments, g_head) == ([], "n,energy")
     rows = _table(want)[2]
     assert [r[0] for r in g_rows] == [r[0] for r in rows], "level indices differ"
-    for (n, e), (_n, e_gold) in zip(g_rows, rows):
-        assert abs(e - e_gold) <= LEVEL_TOL * _scale(e_gold, v_min), \
-            f"level {int(n)}: {e!r} vs golden {e_gold!r}"
+    return [Moved(f"level {int(n)}", abs(e - e_gold), _scale(e_gold, v_min), LEVEL_TOL)
+            for (n, e), (_n, e_gold) in zip(g_rows, rows)]
 
 
 def _pms(got, want, cfg):
     got, want = json.loads(got), json.loads(want)
     assert set(got) == set(want)
     assert (got["dim"], got["center"]) == (want["dim"], want["center"])
-    _close_rel(got["omega"], want["omega"], PMS_TOL, "omega")
-    _close_rel(got["sigma"], want["sigma"], PMS_TOL, "sigma")
-    _close_rel(got["trace"], want["trace"], TRACE_TOL, "trace")
     # the residual is a roundoff-level diagnostic of the search; only its
     # presence and finiteness are pinned
     assert math.isfinite(got["stationarity_residual"])
+    return [_rel("omega", got["omega"], want["omega"], PMS_TOL),
+            _rel("sigma", got["sigma"], want["sigma"], PMS_TOL),
+            _rel("trace", got["trace"], want["trace"], TRACE_TOL)]
 
 
 def _convergence(got, want, cfg):
@@ -125,17 +134,16 @@ def _convergence(got, want, cfg):
     ref = varosc.solve_spectrum(pot, cfg["solver"]["n_ref"])
     g_rows, rows = _table(got)[2], _table(want)[2]
     assert [r[:2] for r in g_rows] == [r[:2] for r in rows], "(N, n) rows differ"
-    for (n_dim, lvl, d), (_nd, _l, d_gold) in zip(g_rows, rows):
-        bound = DELTA_TOL * _scale(ref.energy(int(lvl)), v_min)
-        assert abs(d - d_gold) <= bound, \
-            f"delta(N={int(n_dim)}, n={int(lvl)}): {d!r} vs golden {d_gold!r}"
+    return [Moved(f"delta(N={int(n_dim)}, n={int(lvl)})", abs(d - d_gold),
+                  _scale(ref.energy(int(lvl)), v_min), DELTA_TOL)
+            for (n_dim, lvl, d), (_nd, _l, d_gold) in zip(g_rows, rows)]
 
 
 def _pms_omegas(got, want, cfg):
     g_rows, rows = _table(got)[2], _table(want)[2]
     assert [r[0] for r in g_rows] == [r[0] for r in rows]
-    for (n_dim, w), (_n, w_gold) in zip(g_rows, rows):
-        _close_rel(w, w_gold, PMS_TOL, f"omega(N={int(n_dim)})")
+    return [_rel(f"omega(N={int(n_dim)})", w, w_gold, PMS_TOL)
+            for (n_dim, w), (_n, w_gold) in zip(g_rows, rows)]
 
 
 def _trace_scan(got, want, cfg):
@@ -143,10 +151,12 @@ def _trace_scan(got, want, cfg):
     comments, head, rows = _table(want)
     assert (g_comments, g_head) == (comments, head)
     assert len(g_rows) == len(rows)
+    moved = []
     for (w, t, mark), (w_gold, t_gold, mark_gold) in zip(g_rows, rows):
-        _close_rel(w, w_gold, TRACE_TOL, "scan omega")
-        _close_rel(t, t_gold, TRACE_TOL, f"trace at omega={w_gold!r}")
         assert mark == mark_gold, f"is_pms moved at omega={w_gold!r}"
+        moved += [_rel(f"scan omega {w_gold!r}", w, w_gold, TRACE_TOL),
+                  _rel(f"trace at omega={w_gold!r}", t, t_gold, TRACE_TOL)]
+    return moved
 
 
 def _observables(got, want, cfg):
@@ -155,7 +165,7 @@ def _observables(got, want, cfg):
     assert g_head == head
     loss = float(g_comments[0].partition("=")[2])
     loss_gold = float(comments[0].partition("=")[2])
-    assert abs(loss - loss_gold) <= LOSS_TOL, f"truncation loss {loss!r} vs {loss_gold!r}"
+    moved = [Moved("truncation loss", abs(loss - loss_gold), 1.0, LOSS_TOL)]
     g_cols, cols = np.array(g_rows).T, np.array(rows).T
     assert g_cols.shape == cols.shape
     names = head.split(",")
@@ -165,8 +175,9 @@ def _observables(got, want, cfg):
     scales[names.index("x_mean")] = max(scales[names.index("x_mean")],
                                         scales[names.index("sqrt_x2")])
     for name, g_col, col, scale in zip(names, g_cols, cols, scales):
-        err = float(np.max(np.abs(g_col - col)))
-        assert err <= OBS_TOL * scale, f"column {name}: moved by {err:.3e} (scale {scale:.3e})"
+        moved.append(Moved(f"column {name}", float(np.max(np.abs(g_col - col))),
+                           float(scale), OBS_TOL))
+    return moved
 
 
 def _compare(name: str):
@@ -185,12 +196,23 @@ def _compare(name: str):
     raise AssertionError(f"no comparison for golden file {name}")
 
 
+def compare_case(case: Case, out: Path) -> list[tuple[str, Moved]]:
+    """Every field of the outputs in out against the golden files of case.
+
+    Asserts that the same files, headers and row keys were produced; returns
+    (file name, Moved) for each field, within bound or not.
+    """
+    golden = GOLDEN / case.name
+    produced = sorted(p.name for p in out.iterdir())
+    assert produced == sorted(p.name for p in golden.iterdir())
+    cfg = json.loads((RECIPES / case.recipe).read_text())
+    return [(name, m) for name in produced
+            for m in _compare(name)((out / name).read_text(), (golden / name).read_text(), cfg)]
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_recipe_matches_golden(case, tmp_path):
     run_case(case, tmp_path)
-    golden = GOLDEN / case.name
-    produced = sorted(p.name for p in tmp_path.iterdir())
-    assert produced == sorted(p.name for p in golden.iterdir())
-    cfg = json.loads((RECIPES / case.recipe).read_text())
-    for name in produced:
-        _compare(name)((tmp_path / name).read_text(), (golden / name).read_text(), cfg)
+    for name, m in compare_case(case, tmp_path):
+        assert m.err <= m.tol * m.scale, \
+            f"{name} {m.field}: moved by {m.err:.3e} (bound {m.tol:g} x scale {m.scale:.3e})"

@@ -13,7 +13,7 @@ from varosc import (
     momentum_squared_matrix,
     position_power_matrix,
 )
-from varosc.pms import _trace_tables
+from varosc.oscbasis import _block_moments
 
 from oracles import basis_function_value, gh_position_block, position_power_closed_form
 
@@ -152,14 +152,13 @@ def test_closed_form_matches_band_recurrence_large_block():
 
 
 def test_diagonal_path_matches_matrix_diagonal():
-    # p = 10 exercises the general log-gamma branch behind the fast paths
-    omega = 0.9
+    # the exact block moments D_j against the diagonal of the banded x^j at omega = 1
     for center in (0, 40):
-        _, parts = _trace_tables(30, center, 10)
-        assert [j for j, _, _ in parts] == [2, 4, 6, 8, 10]
-        for j, num, c in parts:
-            full = np.diag(position_power_matrix(j, omega, 30, center=center))
-            np.testing.assert_allclose(num / (c * omega**(j // 2)), full, rtol=1e-12)
+        moments = _block_moments(30, center, 12)
+        assert len(moments) == 6
+        for j, d in zip(range(2, 13, 2), moments):
+            full = np.diag(position_power_matrix(j, 1.0, 30, center=center))
+            np.testing.assert_allclose(d, full.sum(), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- momentum

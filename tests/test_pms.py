@@ -18,11 +18,11 @@ from varosc import (
 
 from oracles import (
     ClosedFormBranchError,
+    exact_stationary_point,
+    exact_trace,
     golden_min,
     pms_omega_quartic_closed_form,
-    reference_trace,
 )
-from varosc.pms import _trace_tables
 
 
 def quartic_trace_formula(omega, mu2, g, N):
@@ -67,34 +67,27 @@ def test_trace_matches_assembled_hamiltonian():
         assert diag_path == pytest.approx(matrix_path, rel=1e-12)
 
 
-def test_trace_is_bit_identical_to_rebuilt_diagonal():
-    # (dim, center) keys drawn from a pool larger than the cache and
-    # interleaved, so a stale, shared or evicted entry would change a bit
-    rng = np.random.default_rng(23)
-    keys = [(int(rng.integers(1, 301)), int(rng.integers(0, 60))) for _ in range(40)]
-    hot = [(7, 0), (7, 3), (8, 0)]
-    for case in range(400):
-        pool = hot if rng.random() < 0.5 else keys
-        dim, center = pool[int(rng.integers(len(pool)))]
-        degree = int(rng.choice([2, 4, 6, 8, 10, 12]))
+@pytest.mark.parametrize("degree", [2, 4, 6, 8, 10, 12])
+def test_trace_matches_exact_oracle(degree):
+    # 50-digit reference from exact rationals; the error is held to 1e-15 of
+    # the sum of the magnitudes of the trace's terms, the size of the
+    # rounding any float evaluation of them can make
+    rng = np.random.default_rng(100 + degree)
+    for case in range(40):
         coeffs = rng.normal(size=degree + 1)
         coeffs[rng.random(degree + 1) < 0.25] = 0.0
         coeffs[-1] = rng.uniform(0.01, 5.0)
         pot = PolynomialPotential(tuple(float(c) for c in coeffs))
-        omega = float(10.0 ** rng.uniform(-3.0, 5.0))
+        omega = float(10.0 ** rng.uniform(-2.0, 3.0))
         if case % 2:
             omega = np.float64(omega)
-        sigma = 0.0 if case % 5 == 0 else float(rng.uniform(-3.0, 3.0))
-        cfg = BasisConfig(dim=dim, omega=omega, sigma=sigma, center=center)
-        assert trace(pot, cfg) == reference_trace(pot, cfg), (case, cfg, degree)
-
-
-def test_trace_tables_are_read_only():
-    kin, parts = _trace_tables(5, 2, 12)
-    assert [j for j, _, _ in parts] == [2, 4, 6, 8, 10, 12]
-    for arr in (kin, *(num for _, num, _ in parts)):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+        sigma = 0.0 if case % 3 == 0 else float(rng.uniform(-3.0, 3.0))
+        cfg = BasisConfig(dim=int(rng.integers(1, 301)), omega=omega, sigma=sigma,
+                          center=int(rng.integers(0, 60)))
+        got = trace(pot, cfg)
+        assert type(got) is float
+        want, scale = exact_trace(pot, cfg)
+        assert abs(got - want) <= 1e-15 * scale, (case, cfg, float((got - want) / scale))
 
 
 # ------------------------------------------------------------- closed form
@@ -189,6 +182,22 @@ def test_stationarity_residual_invariant():
         assert res.stationarity_residual <= 1e-7 * max(abs(res.trace_value), 1.0)
 
 
+@pytest.mark.parametrize("pot, N, optimize_sigma", [
+    (asym_demo(), 11, True),
+    (asym_demo(), 41, True),
+    (from_quartic(1.0, 1000.0), 100, False),
+], ids=["asym_demo-N11", "asym_demo-N41", "quartic_g1000-N100"])
+def test_optimum_matches_exact_stationary_point(pot, N, optimize_sigma):
+    # the stationary point of the exact trace, found at 40 digits from the
+    # search's own result; the finite-difference Newton polish sets the ~1e-11
+    # precision the search reaches
+    res = pms_optimize(pot, N, optimize_sigma=optimize_sigma)
+    omega, sigma = exact_stationary_point(pot, N, res.omega,
+                                          res.sigma if optimize_sigma else None)
+    assert abs(res.omega - omega) <= 1e-10 * omega
+    assert abs(res.sigma - sigma) <= 1e-10
+
+
 def test_symmetric_potentials_keep_zero_shift():
     for pot in (from_quartic(1.0, 1000.0), from_double_well(0.01, 5.0)):
         res = pms_optimize(pot, 10, optimize_sigma=True)
@@ -228,3 +237,15 @@ def test_trace_scan_values():
     for w, v in zip(omegas, vals):
         assert v == pytest.approx(trace(pot, BasisConfig(dim=10, omega=w)) / 10.0,
                                   rel=1e-15)
+
+
+@pytest.mark.parametrize("dim, omegas, sigma", [
+    (0, [1.0], 0.0),
+    (4, [1.0, 0.0], 0.0),
+    (4, [1.0, math.nan], 0.0),
+    (4, [1.0, math.inf], 0.0),
+    (4, [1.0], math.inf),
+])
+def test_trace_scan_rejects_bad_inputs(dim, omegas, sigma):
+    with pytest.raises(ValueError):
+        trace_scan(from_quartic(1.0, 1.0), dim, np.array(omegas), sigma)
