@@ -7,9 +7,12 @@ at a stationary point of the truncated trace
     T_N(omega, sigma) = sum_{n in block} H_nn,
 
 which is cheap (diagonal elements only) and invariant under unitary changes
-of basis.  Among stationary points we target minima and, when several
-candidates survive, the one with the smallest trace (then smallest omega) is
-returned so results are reproducible.
+of basis.  T is a closed form in omega and sigma, so its derivatives are
+exact too: at sigma = 0 the stationary frequencies are the roots of one
+polynomial, and every candidate is polished by Newton on the exact gradient
+and Hessian, with no finite differences.  Among stationary points we target
+minima and, when several candidates survive, the one with the smallest trace
+(then smallest omega) is returned so results are reproducible.
 """
 from __future__ import annotations
 
@@ -30,13 +33,9 @@ __all__ = [
     "pms_optimize",
 ]
 
-# convergence controls (relative 1D parameter tolerance, 2D simplex size,
-# iteration caps, stationarity gate)
-_TOL_1D = 1e-10
+# convergence controls (2D simplex size, iteration cap, stationarity gate)
 _TOL_2D = 1e-8
-_MAXITER_1D = 200
 _MAXITER_2D = 2000
-_GRAD_STEP = 1e-5
 _RESIDUAL_REL = 1e-7
 
 
@@ -90,87 +89,53 @@ def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray,
     return _block_trace(omegas, pot, float(sigma), dim, 0) / dim
 
 
-def _grid_then_golden(f, log_lo: float, log_hi: float, points: int = 161):
-    """Locate the minimum of f(log_omega) by grid bracketing then golden section."""
-    grid = np.linspace(log_lo, log_hi, points)
-    vals = np.array([f(v) for v in grid])
-    i = int(np.argmin(vals))
-    if i == 0 or i == points - 1:
-        return None  # minimum not bracketed
-    a, b = grid[i - 1], grid[i + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_MAXITER_1D):
-        if abs(b - a) <= _TOL_1D:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _gradient_hessian(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray):
+    """Exact gradient and Hessian of T in z = (log omega, sigma).
 
+    With w_h = D_2h omega^(-h) (D_0 = N) and kappa_i(sigma) the coefficients
+    of V(x + sigma), whose sigma-derivative is (i+1) kappa_{i+1},
 
-def _newton_polish(f, z0: np.ndarray, steps: int = 8) -> np.ndarray:
-    """Drive the central-difference gradient of f to zero near z0.
+        dT/dlog(omega) = (omega/4) N (N + 2c) - sum_h h kappa_2h w_h,
+        dT/dsigma      = sum_h (2h+1) kappa_{2h+1} w_h,
 
-    Derivative-free minimizers stall at parameter accuracy ~sqrt(eps); a few
-    Newton corrections on finite-difference derivatives recover ~1e-10.
-    Steps that do not reduce the gradient norm are rejected.
+    and each second derivative brings down one more factor -h per
+    log(omega) and one more sigma-derivative of kappa per sigma.
     """
-    h = _GRAD_STEP
-    z = np.asarray(z0, dtype=float).copy()
-    dim = z.size
+    omega = math.exp(z[0])
+    kappa = _shifted_coeffs(pot.coeffs, float(z[1])) + [0.0, 0.0]
+    g_w = h_ww = 0.25 * omega * (dim * (dim + 2 * center))
+    g_s = h_ws = h_ss = 0.0
+    for h, d in enumerate((float(dim),) + _block_moments(dim, center, pot.degree)):
+        i = 2 * h
+        w = d * omega**-h
+        k1 = (i + 1) * kappa[i + 1] * w
+        g_w -= h * kappa[i] * w
+        g_s += k1
+        h_ww += h * h * kappa[i] * w
+        h_ws -= h * k1
+        h_ss += (i + 1) * (i + 2) * kappa[i + 2] * w
+    return np.array([g_w, g_s]), np.array([[h_ww, h_ws], [h_ws, h_ss]])
 
-    def grad_hess(zz):
-        g = np.zeros(dim)
-        hess = np.zeros((dim, dim))
-        f0 = f(zz)
-        for i in range(dim):
-            e = np.zeros(dim); e[i] = h
-            fp, fm = f(zz + e), f(zz - e)
-            g[i] = (fp - fm) / (2 * h)
-            hess[i, i] = (fp - 2 * f0 + fm) / h**2
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ei = np.zeros(dim); ei[i] = h
-                ej = np.zeros(dim); ej[j] = h
-                val = (f(zz + ei + ej) - f(zz + ei - ej)
-                       - f(zz - ei + ej) + f(zz - ei - ej)) / (4 * h * h)
-                hess[i, j] = hess[j, i] = val
-        return g, hess
 
-    g, hess = grad_hess(z)
+def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free: int,
+            steps: int = 8):
+    """Newton on the exact gradient in the first `free` entries of z.
+
+    Stops when a step no longer lowers the gradient norm, which is where
+    rounding in the gradient sets in.  Returns z and that norm.
+    """
+    g, hess = _gradient_hessian(pot, dim, center, z)
     for _ in range(steps):
+        z_new = z.copy()
         try:
-            delta = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
+            z_new[:free] -= np.linalg.solve(hess[:free, :free], g[:free])
+            g_new, hess_new = _gradient_hessian(pot, dim, center, z_new)
+        except (np.linalg.LinAlgError, OverflowError):
             break
-        if not np.all(np.isfinite(delta)):
-            break
-        z_new = z + delta
-        g_new, hess_new = grad_hess(z_new)
-        if np.linalg.norm(g_new) >= np.linalg.norm(g):
+        if not np.linalg.norm(g_new[:free]) < np.linalg.norm(g[:free]):
             break
         z, g, hess = z_new, g_new, hess_new
-        if np.linalg.norm(delta) < 1e-12:
-            break
-    return z
-
-
-def _residual(f, z: np.ndarray) -> float:
-    """Norm of the central-difference gradient at z (step _GRAD_STEP)."""
-    h = _GRAD_STEP
-    g = []
-    for i in range(z.size):
-        e = np.zeros(z.size); e[i] = h
-        g.append((f(z + e) - f(z - e)) / (2 * h))
-    return float(np.linalg.norm(g))
+    return z, float(np.linalg.norm(g[:free]))
 
 
 def _largest_turning_point(pot: PolynomialPotential) -> float:
@@ -187,73 +152,71 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
                  center: int = 0) -> PmsResult:
     """Stationary point of the truncated trace over omega (and optionally sigma).
 
-    The frequency search runs in log(omega), which keeps omega > 0 implicit
-    and conditions the g in [1e-3, 1e4] range uniformly: a log-spaced grid
-    brackets the minimum, golden section refines it, and a Newton polish on
-    finite-difference derivatives sharpens the stationary point.
+    At sigma = 0 the stationary frequencies are the positive roots of the
+    polynomial omega^(H+1) dT/domega (2H = deg V),
+
+        (K/4) omega^(H+1) - sum_{h=1..H} h kappa_2h D_2h omega^(H-h),   K = N (N + 2c),
+
+    which np.roots gives all at once.  The real roots where d^2T/domega^2 > 0
+    are polished by Newton on the exact derivative in log(omega), and the
+    lowest-trace minimum wins, ties broken by lower omega.
 
     With optimize_sigma, a 5x5 multistart grid over
     omega in [omega*/10, 10 omega*] (omega* from the sigma = 0 solve) and
     sigma in [-x_range, x_range] (x_range = largest turning point of V) seeds
     Nelder-Mead in (log omega, sigma); every converged candidate is polished
-    and the lowest-trace stationary point wins, ties broken by lower omega.
+    by Newton on the exact gradient and Hessian, and the lowest-trace
+    stationary point wins, ties broken by lower omega.
 
-    A nonzero center optimizes the trace of the block of basis indices
-    [center, center+N) instead of the lowest block.
+    stationarity_residual is the norm of the exact gradient of T in log(omega)
+    (and sigma) at the result.  A nonzero center optimizes the trace of the
+    block of basis indices [center, center+N) instead of the lowest block.
     """
     if N < 1:
         raise ValueError(f"block dimension must be >= 1, got {N}")
 
-    def f1(logw):
-        return trace(pot, BasisConfig(dim=N, omega=math.exp(logw), center=center))
+    def lowest_stationary(starts, free):
+        """(trace, omega, sigma, residual) of the lowest-trace point, then lowest
+        omega, that Newton from one of starts makes stationary; None if none."""
+        found = []
+        for z0 in starts:
+            z, resid = _newton(pot, N, center, z0, free)
+            omega, sigma = math.exp(z[0]), float(z[1])
+            t_val = trace(pot, BasisConfig(dim=N, omega=omega, sigma=sigma, center=center))
+            if resid <= _RESIDUAL_REL * max(abs(t_val), 1.0):
+                found.append((t_val, omega, sigma, resid))
+        return min(found, key=lambda c: c[:2], default=None)
 
-    log_lo, log_hi = math.log(1e-4), math.log(1e6)
-    bracket = _grid_then_golden(f1, log_lo, log_hi)
-    if bracket is None:
-        raise ConvergenceError(
-            "trace has no interior minimum over the frequency grid "
-            f"[{math.exp(log_lo):.3g}, {math.exp(log_hi):.3g}]"
-        )
+    # omega^(H+1) dT/domega at sigma = 0, highest power first
+    poly = np.array([0.25 * N * (N + 2 * center), 0.0]
+                    + [-h * pot.coeffs[2 * h] * d
+                       for h, d in enumerate(_block_moments(N, center, pot.degree), 1)])
+    curvature = np.polyder(poly)
+    # np.roots returns real roots with an imaginary part of exactly zero
+    best = lowest_stationary([np.array([math.log(r.real), 0.0]) for r in np.roots(poly)
+                              if r.imag == 0.0 and r.real > 0.0
+                              and np.polyval(curvature, r.real) > 0.0], 1)
+    if best is None:
+        raise ConvergenceError("Newton reached no minimum of the trace over omega > 0")
 
-    if not optimize_sigma:
-        z = _newton_polish(lambda v: f1(v[0]), np.array([bracket]))
-        omega = math.exp(z[0])
-        t_val = f1(z[0])
-        resid = _residual(lambda v: f1(v[0]), z)
-        if resid > _RESIDUAL_REL * max(abs(t_val), 1.0):
+    if optimize_sigma:
+        def f2(z):
+            return trace(pot, BasisConfig(dim=N, omega=math.exp(z[0]), sigma=z[1],
+                                          center=center))
+
+        omega_star = best[1]
+        x_range = _largest_turning_point(pot)
+        log_ws = np.linspace(math.log(0.1 * omega_star), math.log(10.0 * omega_star), 5)
+        sigmas = np.linspace(-x_range, x_range, 5) if x_range > 0 else np.zeros(5)
+        starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
+        ends = [minimize(f2, z0, method="Nelder-Mead",
+                         options={"xatol": _TOL_2D, "fatol": _TOL_2D,
+                                  "maxiter": _MAXITER_2D}).x for z0 in starts]
+        best = lowest_stationary([z for z in ends if np.all(np.isfinite(z))], 2)
+        if best is None:
             raise ConvergenceError(
-                f"stationarity residual {resid:.3e} exceeds tolerance at omega={omega:.6g}"
+                f"no start among {len(starts)} reached a stationary point of the trace"
             )
-        return PmsResult(omega=omega, sigma=0.0, trace_value=t_val,
-                         stationarity_residual=resid)
-
-    def f2(z):
-        return trace(pot, BasisConfig(dim=N, omega=math.exp(z[0]), sigma=z[1],
-                                      center=center))
-
-    omega_star = math.exp(bracket)
-    x_range = _largest_turning_point(pot)
-    log_ws = np.linspace(math.log(0.1 * omega_star), math.log(10.0 * omega_star), 5)
-    sigmas = np.linspace(-x_range, x_range, 5) if x_range > 0 else np.zeros(5)
-    starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
-
-    candidates = []
-    for z0 in starts:
-        res = minimize(f2, z0, method="Nelder-Mead",
-                       options={"xatol": _TOL_2D, "fatol": _TOL_2D,
-                                "maxiter": _MAXITER_2D})
-        if not np.all(np.isfinite(res.x)):
-            continue
-        z = _newton_polish(f2, res.x)
-        t_val = f2(z)
-        resid = _residual(f2, z)
-        if resid <= _RESIDUAL_REL * max(abs(t_val), 1.0):
-            candidates.append((t_val, math.exp(z[0]), z[1], resid))
-    if not candidates:
-        raise ConvergenceError(
-            f"no start among {len(starts)} reached a stationary point of the trace"
-        )
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    t_val, omega, sigma, resid = candidates[0]
-    return PmsResult(omega=omega, sigma=float(sigma), trace_value=t_val,
+    t_val, omega, sigma, resid = best
+    return PmsResult(omega=omega, sigma=sigma, trace_value=t_val,
                      stationarity_residual=resid)

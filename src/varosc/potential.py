@@ -60,8 +60,7 @@ class PolynomialPotential:
 
     def __post_init__(self):
         c = [float(v) for v in self.coeffs]
-        # one sum is non-finite whenever any term is
-        if not math.isfinite(sum(c)):
+        if not all(math.isfinite(v) for v in c):
             raise ValueError(f"potential coefficients must be finite, got {tuple(c)}")
         while c and c[-1] == 0.0:
             c.pop()

@@ -365,15 +365,17 @@ def exact_trace(pot, cfg, dps: int = 50):
         return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
 
 
-def exact_stationary_point(pot, dim: int, omega0: float, sigma0=None, dps: int = 40):
-    """Stationary point of the exact block trace (lowest block) near omega0, sigma0.
+def exact_stationary_point(pot, dim: int, omega0: float, sigma0=None, dps: int = 40,
+                           center: int = 0):
+    """Stationary point of the exact trace of the block [center, center+dim)
+    near omega0, sigma0.
 
     Newton on the analytic gradient at dps + 10 digits: in omega alone at
     sigma = 0 when sigma0 is None, else in (omega, sigma).  Returns
     (omega, sigma) as floats.
     """
     with mpmath.workdps(dps + 10):
-        mono = [(_mp(c), k, e) for c, k, e in _trace_monomials(pot.coeffs, dim, 0)]
+        mono = [(_mp(c), k, e) for c, k, e in _trace_monomials(pot.coeffs, dim, center)]
 
         def d_omega(omega, sigma):
             return mpmath.fsum(c * e * sigma**k * omega**(e - 1) for c, k, e in mono if e)

@@ -240,6 +240,19 @@ def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_stiff_quartic_spectrum_is_solved(tmp_path):
+    # the shipped quartic with m2 = 1e12: PMS frequency ~ m = 1e6, levels
+    # ~ m (n + 1/2), far outside any fixed frequency window
+    cfg = json.loads((RECIPES / "quartic_g1000.json").read_text())
+    cfg["potential"]["m2"] = 1e12
+    path = write_config(tmp_path, cfg)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    pms = json.loads((tmp_path / "o" / "pms.json").read_text())
+    assert pms["omega"] == pytest.approx(1e6, rel=1e-12)
+    lines = (tmp_path / "o" / "levels.csv").read_text().strip().splitlines()
+    assert float(lines[1].split(",")[1]) == pytest.approx(0.5e6, rel=1e-6)
+
+
 def test_trace_scan_marks_interior_minimum(tmp_path):
     cfg = {
         "potential": {"kind": "coeffs", "coeffs": [0.0, 0.0, 2.0]},  # SHO m = 2

@@ -34,7 +34,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 THIN = 8
 LEVEL_TOL = 1e-12
-PMS_TOL = 1e-9
+PMS_TOL = 1e-12
 TRACE_TOL = 1e-13
 DELTA_TOL = 2e-12
 OBS_TOL = 1e-10

@@ -5,7 +5,6 @@ import pytest
 
 from varosc import (
     BasisConfig,
-    ConvergenceError,
     PolynomialPotential,
     assemble_hamiltonian,
     asym_demo,
@@ -179,23 +178,28 @@ def test_stationarity_residual_invariant():
                         (asym_demo(), {"optimize_sigma": True}),
                         (from_double_well(0.01, 5.0), {})):
         res = pms_optimize(pot, 12, **kwargs)
-        assert res.stationarity_residual <= 1e-7 * max(abs(res.trace_value), 1.0)
+        assert res.stationarity_residual <= 1e-13 * max(abs(res.trace_value), 1.0)
 
 
-@pytest.mark.parametrize("pot, N, optimize_sigma", [
-    (asym_demo(), 11, True),
-    (asym_demo(), 41, True),
-    (from_quartic(1.0, 1000.0), 100, False),
-], ids=["asym_demo-N11", "asym_demo-N41", "quartic_g1000-N100"])
-def test_optimum_matches_exact_stationary_point(pot, N, optimize_sigma):
+@pytest.mark.parametrize("pot, N, optimize_sigma, center", [
+    (asym_demo(), 11, True, 0),
+    (asym_demo(), 41, True, 0),
+    (from_quartic(1.0, 1000.0), 100, False, 0),
+    (from_double_well(0.01, 5.0), 80, False, 0),
+    (from_double_well(0.01, 5.0), 40, False, 25),
+    (PolynomialPotential((0.0, 0.3, -2.0, 0.0, 0.5, 0.0, 0.02)), 30, False, 0),
+], ids=["asym_demo-N11", "asym_demo-N41", "quartic_g1000-N100", "slowroll-N80",
+        "slowroll-N40-center25", "sextic-N30"])
+def test_optimum_matches_exact_stationary_point(pot, N, optimize_sigma, center):
     # the stationary point of the exact trace, found at 40 digits from the
-    # search's own result; the finite-difference Newton polish sets the ~1e-11
-    # precision the search reaches
-    res = pms_optimize(pot, N, optimize_sigma=optimize_sigma)
+    # search's own result; Newton on the exact derivatives lands on it to
+    # within the rounding of the float gradient
+    res = pms_optimize(pot, N, optimize_sigma=optimize_sigma, center=center)
     omega, sigma = exact_stationary_point(pot, N, res.omega,
-                                          res.sigma if optimize_sigma else None)
-    assert abs(res.omega - omega) <= 1e-10 * omega
-    assert abs(res.sigma - sigma) <= 1e-10
+                                          res.sigma if optimize_sigma else None,
+                                          center=center)
+    assert abs(res.omega - omega) <= 1e-13 * omega
+    assert abs(res.sigma - sigma) <= 1e-13
 
 
 def test_symmetric_potentials_keep_zero_shift():
@@ -224,10 +228,17 @@ def test_optimize_is_deterministic():
     assert (a.omega, a.sigma, a.trace_value) == (b.omega, b.sigma, b.trace_value)
 
 
-def test_unbracketed_minimum_raises():
-    # optimal frequency ~ (2 g (1+2N^2)/N)^(1/3) >> grid ceiling
-    with pytest.raises(ConvergenceError):
-        pms_optimize(from_quartic(1.0, 1e30), 10)
+def test_optimum_far_above_typical_frequencies():
+    # optimal frequency ~ (2 g (1+2N^2)/N)^(1/3) ~ 3e10
+    res = pms_optimize(from_quartic(1.0, 1e30), 10)
+    closed = pms_omega_quartic_closed_form(1.0, 1e30, 10)
+    assert res.omega == pytest.approx(closed, rel=1e-12)
+
+
+def test_optimum_of_stiff_oscillator_is_its_frequency():
+    # m = 1e6: the quartic shifts the optimum by ~(1+2N^2)/(N m^3) ~ 2e-17
+    res = pms_optimize(from_quartic(1e12, 1.0), 10)
+    assert res.omega == pytest.approx(1e6, rel=1e-12)
 
 
 def test_trace_scan_values():

@@ -76,6 +76,11 @@ def test_validation_rejects_non_finite(coeffs):
         PolynomialPotential(coeffs)
 
 
+def test_validation_accepts_finite_coefficients_whose_sum_overflows():
+    pot = PolynomialPotential((1e308, 0.0, 1e308))
+    assert pot.coeffs == (1e308, 0.0, 1e308)
+
+
 def test_trailing_zeros_stripped():
     pot = PolynomialPotential((0.0, 0.0, 2.0, 0.0, 0.0))
     assert pot.coeffs == (0.0, 0.0, 2.0)
