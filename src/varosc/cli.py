@@ -1,8 +1,9 @@
 """Command-line front end: config-driven runs that emit CSV/JSON files.
 
-Subcommands: spectrum, trace-scan, evolve, convergence.  Configs are single
-JSON documents (the one canonical on-disk form); every numeric field is
-validated before any computation starts.  Exit codes: 0 ok, 2 config error,
+Subcommands: spectrum, trace-scan, evolve, convergence.  A config is one JSON
+document, checked whole against the table _COMMANDS before any work starts:
+an unknown key, a null, a wrong type or an out-of-range value is a config
+error, and no output directory is made.  Exit codes: 0 ok, 2 config error,
 3 numerical failure.  All floats are written with 17 significant digits so
 re-running a recipe is byte-identical.
 """
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,96 +26,146 @@ from .potential import PolynomialPotential, asym_demo, from_double_well, from_qu
 
 _FMT = "{:.17g}"
 
+# caps far above every recipe and benchmark job (block 1600, 4001 times, 201 x
+# points) so no count alone exhausts memory; levels stay exact in float arithmetic
+_MAX_DIM, _MAX_POINTS, _MAX_STEPS, _MAX_LEVEL = 5000, 10_001, 1_000_000, 2**52
+
 
 class ConfigError(ValueError):
     """Invalid or missing configuration field."""
 
 
-def _get(cfg: dict, path: str, default=None, required=False):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing required config field '{path}'")
-            return default
-        node = node[part]
-    return node
+class _Field(NamedTuple):
+    """A config field of type "number" (finite), "integer", "bool" or "string"; gt is
+    an exclusive bound, ge and le inclusive.  A many field is a list (non-empty unless
+    empty_ok) whose items each obey type, bounds and choices."""
+
+    type: str
+    required: bool = False
+    default: object = None
+    gt: float = -math.inf
+    ge: float = -math.inf
+    le: float = math.inf
+    choices: tuple = ()
+    many: bool = False
+    empty_ok: bool = False
 
 
-def _is_number(val) -> bool:
-    """A finite JSON number (JSON's NaN and Infinity parse to non-finite floats)."""
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val))
+_TYPES = {"number": (int, float), "integer": (int, float), "bool": bool, "string": str}
+_NOUNS = {"number": ("a finite number", "finite numbers"), "integer": ("an integer", "integers"),
+          "bool": ("true or false", None), "string": ("a string", None)}
+_DIM = _Field("integer", ge=1, le=_MAX_DIM)
+_FLAG = _Field("bool", default=False)
+
+# potential.kind -> (constructor, its fields in argument order)
+_POTENTIALS = {
+    "quartic": (from_quartic, {"m2": _Field("number", required=True),
+                               "g": _Field("number", required=True, gt=0.0),
+                               "sign": _Field("integer", default=1, choices=(1, -1))}),
+    "double_well": (from_double_well, {"lambda": _Field("number", required=True, gt=0.0),
+                                       "a": _Field("number", required=True)}),
+    "coeffs": (PolynomialPotential, {"coeffs": _Field("number", required=True, many=True)}),
+    "asym_demo": (asym_demo, {}),
+}
+_KIND = _Field("string", required=True, choices=tuple(_POTENTIALS))
 
 
-_ABSENT = object()
+def _describe(spec: _Field) -> str:
+    """The rule spec states, as in 'an integer >= 1 and <= 5000'."""
+    one, many = _NOUNS[spec.type]
+    noun = f"a {'' if spec.empty_ok else 'non-empty '}list of {many}" if spec.many else one
+    rules = [f"{op} {b:g}" for op, b in ((">", spec.gt), (">=", spec.ge), ("<=", spec.le))
+             if math.isfinite(b)] + ([f"in {spec.choices}"] if spec.choices else [])
+    return f"{noun} {' and '.join(rules)}".rstrip()
 
 
-def _num(cfg, path, kind=float, required=False, default=None, positive=False):
-    """A finite number field, default when absent; JSON null is a config error."""
-    val = _get(cfg, path, default=_ABSENT, required=required)
-    if val is _ABSENT:
-        return default
-    if not _is_number(val):
-        raise ConfigError(f"config field '{path}' must be a finite number, got {val!r}")
-    if kind is int and not float(val).is_integer():
-        raise ConfigError(f"config field '{path}' must be an integer, got {val!r}")
-    val = kind(val)
-    if positive and not val > 0:
-        raise ConfigError(f"config field '{path}' must be positive, got {val}")
-    return val
+def _scalar(val, spec: _Field):
+    """val as the field's plain value, or None when it breaks the field's rules."""
+    # JSON true and false load as bools, which Python also counts as ints
+    if isinstance(val, bool) != (spec.type == "bool") or not isinstance(val, _TYPES[spec.type]):
+        return None
+    if spec.type in ("number", "integer"):
+        # abs(val) <= max also rules out inf, nan and integers past the float range
+        if not (abs(val) <= sys.float_info.max and val > spec.gt and spec.ge <= val <= spec.le
+                and (spec.type == "number" or float(val).is_integer())):
+            return None
+        val = int(val) if spec.type == "integer" else float(val)
+    return val if not spec.choices or val in spec.choices else None
 
 
-def _flag(cfg: dict, path: str) -> bool:
-    """A JSON true/false field; absent means false."""
-    val = _get(cfg, path, default=False)
-    if not isinstance(val, bool):
-        raise ConfigError(f"config field '{path}' must be true or false, got {val!r}")
-    return val
+def _value(path: str, block: dict, key: str, spec: _Field):
+    """block[key] as a plain value, or the field's default when absent."""
+    if key not in block:
+        if spec.required:
+            raise ConfigError(f"missing required config field '{path}'")
+        return spec.default
+    raw = block[key]
+    listed = spec.many and isinstance(raw, list) and (raw or spec.empty_ok)
+    vals = [_scalar(v, spec) for v in raw] if listed else [None if spec.many else _scalar(raw, spec)]
+    if None in vals:
+        raise ConfigError(f"config field '{path}' must be {_describe(spec)}, got {raw!r}")
+    return tuple(vals) if spec.many else vals[0]
 
 
-def _dims(dims) -> list[int]:
-    """A non-empty list of positive integer block dimensions (JSON true is not one)."""
-    if not isinstance(dims, list) or not dims or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in dims):
-        raise ConfigError(
-            "config field 'solver.dims' must be a non-empty list of positive integers"
-        )
-    return dims
+def _walk(path: str, block, fields: dict | None) -> dict:
+    """A config object as plain values; fields maps keys to _Fields or to blocks' fields."""
+    if not isinstance(block, dict):
+        where = f"config field '{path}'" if path else "the config"
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    if fields is None:  # the potential's fields follow its kind
+        fields = {"kind": _KIND, **_POTENTIALS[_value("potential.kind", block, "kind", _KIND)][1]}
+    for key in block:
+        if key not in fields:
+            raise ConfigError(f"unknown config field '{path}{'.' if path else ''}{key}'")
+    return {key: _value(f"{path}.{key}", block, key, spec) if isinstance(spec, _Field)
+            else _walk(key, block.get(key, {}), spec) for key, spec in fields.items()}
+
+
+def _potential(fields: dict) -> PolynomialPotential:
+    kind, *args = fields.values()
+    try:
+        return _POTENTIALS[kind][0](*args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid potential: {exc}") from exc
 
 
 def build_potential(cfg: dict) -> PolynomialPotential:
     """Construct the potential named by config['potential']."""
-    block = _get(cfg, "potential", required=True)
-    if not isinstance(block, dict):
-        raise ConfigError("config field 'potential' must be an object")
-    kind = _get(cfg, "potential.kind", required=True)
-    try:
-        if kind == "quartic":
-            m2 = _num(cfg, "potential.m2", required=True)
-            g = _num(cfg, "potential.g", required=True)
-            sign = _num(cfg, "potential.sign", kind=int, default=1)
-            return from_quartic(m2, g, sign)
-        if kind == "double_well":
-            lam = _num(cfg, "potential.lambda", required=True)
-            a = _num(cfg, "potential.a", required=True)
-            return from_double_well(lam, a)
-        if kind == "coeffs":
-            coeffs = _get(cfg, "potential.coeffs", required=True)
-            if not isinstance(coeffs, list) or not all(_is_number(v) for v in coeffs):
-                raise ConfigError(
-                    "config field 'potential.coeffs' must be a list of finite numbers"
-                )
-            return PolynomialPotential(tuple(float(v) for v in coeffs))
-        if kind == "asym_demo":
-            return asym_demo()
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid potential: {exc}") from exc
-    raise ConfigError(
-        f"unknown potential.kind {kind!r}; expected quartic, double_well, coeffs, or asym_demo"
-    )
+    return _potential(_walk("potential", cfg.get("potential", {}), None))
+
+
+def _one_of(block: dict, name: str, one: str, many: str) -> tuple:
+    """block[many], or (block[one],); exactly one of the two must be given."""
+    if (block[one] is None) == (block[many] is None):
+        raise ConfigError(f"give exactly one of config fields '{name}.{one}' and '{name}.{many}'")
+    return block[many] or (block[one],)
+
+
+def _validate(command: str, cfg) -> dict:
+    """The config as plain values: the walk checks each field, then the rules across fields."""
+    vals = _walk("", cfg, {"potential": None, "output": {"dir": _Field("string", default="out")},
+                           **_COMMANDS[command][1]})
+    vals["potential"] = _potential(vals["potential"])
+    solver = vals["solver"]
+    if command == "spectrum" and solver["optimize_sigma"] and solver["target_level"] is not None:
+        raise ConfigError("solver.optimize_sigma cannot be combined with "
+                          "solver.target_level: a centered block is solved at sigma = 0")
+    if command == "trace-scan":
+        solver["dims"] = _one_of(solver, "solver", "dim", "dims")
+        if not vals["scan"]["omega_max"] > vals["scan"]["omega_min"]:
+            raise ConfigError("scan.omega_max must exceed scan.omega_min")
+    if command == "convergence":
+        solver["levels"] = _parse_levels(solver["levels"], 0, min(solver["dims"]))
+        if solver["n_ref"] is not None and solver["n_ref"] < max(solver["dims"]):
+            raise ConfigError("solver.n_ref must be at least every dimension in solver.dims")
+    if command == "evolve":
+        evo = vals["evolution"]
+        evo["widths"] = _one_of(evo, "evolution", "width", "widths")
+        if evo["initial"] == "centered" and evo["x0"] != 0.0:
+            raise ConfigError("centered initial state must have x0 = 0")
+        if not evo["t_max"] / evo["t_step"] < _MAX_STEPS:
+            raise ConfigError(f"evolution.t_max / evolution.t_step must be < {_MAX_STEPS}")
+    return vals
 
 
 def _parse_levels(spec: str, lo: int, hi: int) -> range:
@@ -121,7 +173,7 @@ def _parse_levels(spec: str, lo: int, hi: int) -> range:
     try:
         a_s, b_s = spec.split("..")
         a, b = int(a_s), int(b_s)
-    except Exception as exc:
+    except ValueError as exc:
         raise ConfigError(f"levels must look like 'a..b', got {spec!r}") from exc
     if a > b:
         raise ConfigError(f"empty level range {spec!r}")
@@ -130,68 +182,46 @@ def _parse_levels(spec: str, lo: int, hi: int) -> range:
     return range(a, b + 1)
 
 
-def _outdir(cfg: dict, args) -> Path:
-    out = args.out or _get(cfg, "output.dir", default="out")
-    path = Path(out)
+def _outdir(vals: dict, args) -> Path:
+    path = Path(args.out or vals["output"]["dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_pms_json(path: Path, report: sp.SpectrumReport):
-    payload = {
-        "omega": report.pms.omega,
-        "sigma": report.pms.sigma,
-        "trace": report.pms.trace_value,
-        "stationarity_residual": report.pms.stationarity_residual,
-        "dim": report.solution.config.dim,
-        "center": report.solution.config.center,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def cmd_spectrum(cfg: dict, args) -> int:
-    pot = build_potential(cfg)
-    n_dim = _num(cfg, "solver.dim", kind=int, required=True, positive=True)
-    opt_sigma = _flag(cfg, "solver.optimize_sigma")
-    target = _num(cfg, "solver.target_level", kind=int)
-    if target is not None and opt_sigma:
-        raise ConfigError("solver.optimize_sigma cannot be combined with "
-                          "solver.target_level: a centered block is solved at sigma = 0")
+def cmd_spectrum(vals: dict, args) -> int:
+    pot, solver = vals["potential"], vals["solver"]
+    n_dim, target = solver["dim"], solver["target_level"]
     levels = sp.block_levels(n_dim, target)
     if args.levels:
         levels = _parse_levels(args.levels, levels.start, levels.stop)
     if target is not None:
         report = sp.solve_centered(pot, target, n_dim, levels=levels)
     else:
-        report = sp.solve_spectrum(pot, n_dim, optimize_sigma=opt_sigma, levels=levels)
-    out = _outdir(cfg, args)
+        report = sp.solve_spectrum(pot, n_dim, optimize_sigma=solver["optimize_sigma"],
+                                   levels=levels)
+    out = _outdir(vals, args)
     sp.write_levels_csv(out / "levels.csv", report, levels)
-    _write_pms_json(out / "pms.json", report)
+    pms, basis = report.pms, report.solution.config
+    payload = {"omega": pms.omega, "sigma": pms.sigma, "trace": pms.trace_value,
+               "stationarity_residual": pms.stationarity_residual,
+               "dim": basis.dim, "center": basis.center}
+    (out / "pms.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"spectrum: wrote {out/'levels.csv'} and {out/'pms.json'} "
-          f"(omega={report.pms.omega:.6g}, sigma={report.pms.sigma:.6g})")
+          f"(omega={pms.omega:.6g}, sigma={pms.sigma:.6g})")
     return 0
 
 
-def cmd_trace_scan(cfg: dict, args) -> int:
-    pot = build_potential(cfg)
-    dims = _get(cfg, "solver.dims")
-    if dims is None:
-        dims = [_num(cfg, "solver.dim", kind=int, required=True, positive=True)]
-    dims = _dims(dims)
-    w_lo = _num(cfg, "scan.omega_min", required=True, positive=True)
-    w_hi = _num(cfg, "scan.omega_max", required=True, positive=True)
-    pts = _num(cfg, "scan.points", kind=int, default=101, positive=True)
-    if not w_hi > w_lo:
-        raise ConfigError("scan.omega_max must exceed scan.omega_min")
-    omegas = np.logspace(math.log10(w_lo), math.log10(w_hi), pts)
-    out = _outdir(cfg, args)
-    for dim in dims:
+def cmd_trace_scan(vals: dict, args) -> int:
+    pot, scan = vals["potential"], vals["scan"]
+    w_lo, w_hi = scan["omega_min"], scan["omega_max"]
+    omegas = np.logspace(math.log10(w_lo), math.log10(w_hi), scan["points"])
+    out = _outdir(vals, args)
+    for dim in vals["solver"]["dims"]:
         values = trace_scan(pot, dim, omegas)
-        omega_pms = None
         try:
             omega_pms = pms_optimize(pot, dim).omega
         except ConvergenceError:
-            pass
+            omega_pms = None
         if omega_pms is not None and not (w_lo <= omega_pms <= w_hi):
             print(f"warning: stationary frequency {omega_pms:.6g} lies outside "
                   f"the scan window for dim={dim}", file=sys.stderr)
@@ -202,16 +232,11 @@ def cmd_trace_scan(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_convergence(cfg: dict, args) -> int:
-    pot = build_potential(cfg)
-    dims = _dims(_get(cfg, "solver.dims", required=True))
-    n_ref = _num(cfg, "solver.n_ref", kind=int, positive=True)
-    level_spec = _get(cfg, "solver.levels", default="0..0")
-    levels = _parse_levels(level_spec, 0, min(dims))
-    opt_sigma = _flag(cfg, "solver.optimize_sigma")
-    report = sp.convergence_study(pot, levels, dims, N_ref=n_ref,
-                                  optimize_sigma=opt_sigma)
-    out = _outdir(cfg, args)
+def cmd_convergence(vals: dict, args) -> int:
+    solver = vals["solver"]
+    report = sp.convergence_study(vals["potential"], solver["levels"], solver["dims"],
+                                  N_ref=solver["n_ref"], optimize_sigma=solver["optimize_sigma"])
+    out = _outdir(vals, args)
     sp.write_convergence_csv(out / "convergence.csv", report.convergence)
     omegas_path = out / "pms_omegas.csv"
     lines = ["N,omega"] + [
@@ -222,51 +247,19 @@ def cmd_convergence(cfg: dict, args) -> int:
     return 0
 
 
-def _initial_states(cfg: dict) -> list[tuple[str, ev.InitialGaussian]]:
-    kind = _get(cfg, "evolution.initial", required=True)
-    if kind not in ("centered", "shifted"):
-        raise ConfigError(
-            f"evolution.initial must be 'centered' or 'shifted', got {kind!r}"
-        )
-    x0 = _num(cfg, "evolution.x0", default=0.0)
-    if kind == "centered" and x0 != 0.0:
-        raise ConfigError("centered initial state must have x0 = 0")
-    widths = _get(cfg, "evolution.widths")
-    if widths is None:
-        widths = [_num(cfg, "evolution.width", required=True, positive=True)]
-    if not isinstance(widths, list) or not widths or not all(
-            _is_number(v) and v > 0 for v in widths):
-        raise ConfigError("evolution.widths must be a non-empty list of positive finite numbers")
-    states = []
+def cmd_evolve(vals: dict, args) -> int:
+    evo, solver = vals["evolution"], vals["solver"]
+    t_max, t_step, widths = evo["t_max"], evo["t_step"], evo["widths"]
+    xs = np.linspace(evo["x_min"], evo["x_max"], evo["x_points"])
+    times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
+    report = sp.solve_spectrum(vals["potential"], solver["dim"],
+                               optimize_sigma=solver["optimize_sigma"])
+    basis = report.solution.config
+    out = _outdir(vals, args)
     for w in widths:
         tag = "" if len(widths) == 1 else f"_w{w:g}"
-        states.append((tag, ev.InitialGaussian(width_param=float(w), x0=x0)))
-    return states
-
-
-def cmd_evolve(cfg: dict, args) -> int:
-    pot = build_potential(cfg)
-    n_dim = _num(cfg, "solver.dim", kind=int, required=True, positive=True)
-    opt_sigma = _flag(cfg, "solver.optimize_sigma")
-    t_max = _num(cfg, "evolution.t_max", required=True)
-    t_step = _num(cfg, "evolution.t_step", required=True, positive=True)
-    if t_max < 0:
-        raise ConfigError(f"evolution.t_max must be >= 0, got {t_max}")
-    use_quadrature = _flag(cfg, "evolution.quadrature")
-    initial_states = _initial_states(cfg)
-    snap_times = _get(cfg, "evolution.snapshot_times", default=[])
-    if not isinstance(snap_times, list) or not all(_is_number(t) for t in snap_times):
-        raise ConfigError("evolution.snapshot_times must be a list of finite numbers")
-    x_lo = _num(cfg, "evolution.x_min", default=-10.0)
-    x_hi = _num(cfg, "evolution.x_max", default=10.0)
-    x_pts = _num(cfg, "evolution.x_points", kind=int, default=201, positive=True)
-    xs = np.linspace(x_lo, x_hi, x_pts)
-    times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
-    report = sp.solve_spectrum(pot, n_dim, optimize_sigma=opt_sigma)
-    basis = report.solution.config
-    out = _outdir(cfg, args)
-    for tag, gauss in initial_states:
-        if use_quadrature or basis.sigma != 0.0 or basis.center != 0:
+        gauss = ev.InitialGaussian(width_param=w, x0=evo["x0"])
+        if evo["quadrature"] or basis.sigma != 0.0 or basis.center != 0:
             c = ev.project_by_quadrature(gauss, basis)
         else:
             c = ev.project_shifted_gaussian(gauss, basis)
@@ -275,19 +268,45 @@ def cmd_evolve(cfg: dict, args) -> int:
         path = out / f"observables{tag}.csv"
         ev.write_observables_csv(path, times, x_mean, x2_mean, state.truncation_loss)
         print(f"evolve: wrote {path} (truncation_loss={state.truncation_loss:.3e})")
-        for t_snap in snap_times:
-            psi = ev.wavefunction_at(state, xs, float(t_snap))
+        for t_snap in evo["snapshot_times"]:
+            psi = ev.wavefunction_at(state, xs, t_snap)
             spath = out / f"wavefunction{tag}_t{t_snap:g}.csv"
             ev.write_wavefunction_csv(spath, xs, psi)
             print(f"evolve: wrote {spath}")
     return 0
 
 
+# command -> (runner, block -> field name -> field); every command also reads
+# the potential (_POTENTIALS) and output.dir
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "trace-scan": cmd_trace_scan,
-    "convergence": cmd_convergence,
-    "evolve": cmd_evolve,
+    "spectrum": (cmd_spectrum, {
+        "solver": {"dim": _DIM._replace(required=True), "optimize_sigma": _FLAG,
+                   "target_level": _Field("integer", ge=0, le=_MAX_LEVEL)},
+    }),
+    "trace-scan": (cmd_trace_scan, {
+        "solver": {"dim": _DIM, "dims": _DIM._replace(many=True)},
+        "scan": {"omega_min": _Field("number", required=True, gt=0.0),
+                 "omega_max": _Field("number", required=True, gt=0.0),
+                 "points": _Field("integer", default=101, ge=1, le=_MAX_POINTS)},
+    }),
+    "convergence": (cmd_convergence, {
+        "solver": {"dims": _DIM._replace(required=True, many=True), "n_ref": _DIM,
+                   "levels": _Field("string", default="0..0"), "optimize_sigma": _FLAG},
+    }),
+    "evolve": (cmd_evolve, {
+        "solver": {"dim": _DIM._replace(required=True), "optimize_sigma": _FLAG},
+        "evolution": {
+            "initial": _Field("string", required=True, choices=("centered", "shifted")),
+            "x0": _Field("number", default=0.0),
+            "width": _Field("number", gt=0.0), "widths": _Field("number", gt=0.0, many=True),
+            "t_max": _Field("number", required=True, ge=0.0),
+            "t_step": _Field("number", required=True, gt=0.0),
+            "quadrature": _FLAG,
+            "snapshot_times": _Field("number", default=(), many=True, empty_ok=True),
+            "x_min": _Field("number", default=-10.0), "x_max": _Field("number", default=10.0),
+            "x_points": _Field("integer", default=201, ge=1, le=_MAX_POINTS),
+        },
+    }),
 }
 
 
@@ -308,23 +327,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"config error: no such file {args.config!r}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.config} is not valid JSON ({exc})", file=sys.stderr)
-        return 2
-    if not isinstance(cfg, dict):
-        print("config error: top level must be a JSON object", file=sys.stderr)
-        return 2
-
-    try:
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError) as exc:
+        return _COMMANDS[args.command][0](_validate(args.command, cfg), args)
+    except (FileNotFoundError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, DiagonalizationError, ev.BasisResolutionError,
-            np.linalg.LinAlgError) as exc:
+    # past the checks, a ValueError (numpy's LinAlgError is one) means the numbers failed
+    except (ValueError, ConvergenceError, DiagonalizationError, ev.BasisResolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

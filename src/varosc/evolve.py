@@ -103,6 +103,8 @@ def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarr
     t = (omega - w0) / beta2
     v = 2.0 * math.sqrt(omega) * w0 * g.x0 / beta2
     c = np.zeros(basis.dim)
+    if abs(g.x0) >= 1e154 or not math.isfinite(v):  # overflow where every c_n underflows
+        return c
     c[0] = (math.sqrt(2.0) * (w0 * omega) ** 0.25 / math.sqrt(beta2)
             * math.exp(-w0 * g.x0**2 * omega / (2.0 * beta2)))
     if basis.dim > 1:

@@ -91,8 +91,8 @@ class HamiltonianMatrix:
 
 
 def _check_omega(omega: float):
-    if not omega > 0.0:
-        raise ValueError(f"basis frequency must be positive, got {omega}")
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise ValueError(f"basis frequency must be positive and finite, got {omega}")
 
 
 def _power_bands(p: int, omega: float, dim: int, center: int) -> np.ndarray:

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from varosc.cli import main
 
@@ -161,6 +167,7 @@ _EVOLVE_CFG = {
     ("evolution", {"widths": [0.5, math.nan]}),
     ("evolution", {"snapshot_times": [0.0, math.inf]}),
     ("evolution", {"x_max": math.nan}),
+    ("evolution", {"t_max": 1e9, "t_step": 1e-9}),  # 1e18 time points
 ])
 def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
     cfg = json.loads(json.dumps(_EVOLVE_CFG))
@@ -226,6 +233,43 @@ def test_empty_lists_are_config_errors(tmp_path, capsys, command, cfg):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "non-empty list" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, cfg, name", [
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6, "optimise_sigma": True}},
+     "solver.optimise_sigma"),
+    ("spectrum", {"potential": {"kind": "asym_demo", "g": 1.0}, "solver": {"dim": 6}},
+     "potential.g"),
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6}, "scan": _SCAN}, "scan"),
+    ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6}, "output": "x"}, "output"),
+    ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"], "tmax": 2.0}},
+     "evolution.tmax"),
+])
+def test_unread_blocks_and_keys_are_named_config_errors(tmp_path, capsys, command, cfg, name):
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{name}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_far_shifted_packet_reports_its_loss(tmp_path, capsys):
+    from varosc.evolve import InitialGaussian, project_shifted_gaussian
+    from varosc.oscbasis import BasisConfig
+
+    cfg = json.loads(json.dumps(_EVOLVE_CFG))
+    cfg["evolution"]["x0"] = 1e300
+    path = write_config(tmp_path, cfg)
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    if code == 0:
+        header = (tmp_path / "o" / "observables.csv").read_text().splitlines()[0]
+        assert header == "# truncation_loss=1"
+    # the second basis makes v = 2 sqrt(omega) w0 x0 / beta^2 overflow as well
+    for width, omega in ((0.5, 1.0), (1e4, 1e10)):
+        for x0 in (1e300, -1e300):
+            c = project_shifted_gaussian(InitialGaussian(width, x0), BasisConfig(20, omega))
+            assert np.all(np.isfinite(c))
 
 
 def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
@@ -398,3 +442,75 @@ def test_levels_flag_is_spectrum_only(tmp_path, capsys, command, cfg):
     assert exc.value.code == 2
     assert "--levels" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# --- fuzzed boundary ----------------------------------------------------------
+
+_FUZZ_RECIPES = (("spectrum", "quartic_g1000.json"), ("spectrum", "asym_quartic_small.json"),
+                 ("convergence", "quartic_convergence.json"),
+                 ("trace-scan", "quartic_trace_scan.json"),
+                 ("evolve", "slowroll_centered.json"), ("evolve", "slowroll_shifted.json"))
+_FUZZ_VALUES = (None, True, False, 0, -1, -2.5, 0.5, 3, 1e300, -1e300, 1e-300, 10**400,
+                "x", "0..3", [], [2], [0.5, -1.0], {})
+
+
+def _small(cfg):
+    """A recipe with its block sizes, point counts and step counts capped, for run time."""
+    solver = cfg["solver"]
+    if "dim" in solver:
+        solver["dim"] = min(solver["dim"], 20)
+    if "dims" in solver:
+        solver["dims"] = [d for d in solver["dims"] if d <= 20]
+        solver["n_ref"] = 30
+    if "scan" in cfg:
+        cfg["scan"]["points"] = 11
+    if "evolution" in cfg:
+        evo = cfg["evolution"]
+        evo["t_max"] = min(evo["t_max"], 20 * evo["t_step"])
+        evo.update(snapshot_times=[0.0, 1.0], x_points=11)
+    return cfg
+
+
+def _slots(node):
+    """Every (container, key) of a config: blocks, fields and list items."""
+    for key, val in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(val, (dict, list)):
+            yield from _slots(val)
+
+
+@st.composite
+def _mutated_recipes(draw):
+    command, recipe = draw(st.sampled_from(_FUZZ_RECIPES))
+    cfg = _small(json.loads((RECIPES / recipe).read_text()))
+    for _ in range(draw(st.integers(1, 2))):
+        node, key = draw(st.sampled_from(list(_slots(cfg))))
+        action = draw(st.sampled_from(("set", "misspell", "drop", "add block")))
+        if action == "set":
+            node[key] = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+        elif action == "misspell" and isinstance(node, dict):
+            node[key.replace("i", "e", 1) + "_"] = node.pop(key)
+        elif action == "drop":
+            node.pop(key)
+        elif action == "add block":
+            block = draw(st.sampled_from(("scan", "evolution", "solver", "extra")))
+            if not isinstance(cfg.get(block), dict):
+                cfg[block] = {}
+            cfg[block]["points"] = 5
+    return command, cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_recipes())
+def test_mutated_recipes_exit_cleanly(case):
+    """One or two fields of a shipped recipe broken: a clean exit, and no output on exit 2."""
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        out = Path(tmp) / "o"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()

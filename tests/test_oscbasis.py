@@ -282,8 +282,14 @@ def test_basis_config_validation():
 
 
 @pytest.mark.parametrize("omega, sigma", [
-    (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf),
+    (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.0),
 ])
 def test_basis_config_rejects_non_finite(omega, sigma):
     with pytest.raises(ValueError):
         BasisConfig(dim=5, omega=omega, sigma=sigma)
+    if not math.isfinite(omega):  # the bare matrix and function builders agree
+        for build in (lambda: position_power_matrix(2, omega, 3),
+                      lambda: momentum_squared_matrix(omega, 3),
+                      lambda: basis_functions(2, omega, np.linspace(-1.0, 1.0, 5))):
+            with pytest.raises(ValueError):
+                build()
