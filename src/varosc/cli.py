@@ -152,8 +152,14 @@ def _validate(command: str, cfg) -> dict:
                           "solver.target_level: a centered block is solved at sigma = 0")
     if command == "trace-scan":
         solver["dims"] = _one_of(solver, "solver", "dim", "dims")
-        if not vals["scan"]["omega_max"] > vals["scan"]["omega_min"]:
+        scan = vals["scan"]
+        if not scan["omega_max"] > scan["omega_min"]:
             raise ConfigError("scan.omega_max must exceed scan.omega_min")
+        with np.errstate(over="ignore"):
+            scan["omegas"] = np.logspace(math.log10(scan["omega_min"]),
+                                         math.log10(scan["omega_max"]), scan["points"])
+        if not math.isfinite(scan["omegas"][-1]):
+            raise ConfigError("scan.omega_max rounds to infinity on the logarithmic grid")
     if command == "convergence":
         solver["levels"] = _parse_levels(solver["levels"], 0, min(solver["dims"]))
         if solver["n_ref"] is not None and solver["n_ref"] < max(solver["dims"]):
@@ -213,8 +219,7 @@ def cmd_spectrum(vals: dict, args) -> int:
 
 def cmd_trace_scan(vals: dict, args) -> int:
     pot, scan = vals["potential"], vals["scan"]
-    w_lo, w_hi = scan["omega_min"], scan["omega_max"]
-    omegas = np.logspace(math.log10(w_lo), math.log10(w_hi), scan["points"])
+    w_lo, w_hi, omegas = scan["omega_min"], scan["omega_max"], scan["omegas"]
     out = _outdir(vals, args)
     for dim in vals["solver"]["dims"]:
         values = trace_scan(pot, dim, omegas)

@@ -168,12 +168,14 @@ _EVOLVE_CFG = {
     ("evolution", {"snapshot_times": [0.0, math.inf]}),
     ("evolution", {"x_max": math.nan}),
     ("evolution", {"t_max": 1e9, "t_step": 1e-9}),  # 1e18 time points
+    ("scan", {"omega_max": 1.7976931348623157e308}),  # top grid point rounds to inf
 ])
 def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
-    cfg = json.loads(json.dumps(_EVOLVE_CFG))
+    command, cfg = ("trace-scan", _SCAN_CFG) if block == "scan" else ("evolve", _EVOLVE_CFG)
+    cfg = json.loads(json.dumps(cfg))
     cfg[block].update(patch)
     path = write_config(tmp_path, cfg)
-    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from varosc import (
     wavefunction_at,
 )
 
-from oracles import centered_product_coeffs, literal_centered_coeffs, literal_shifted_coeffs
+from varosc.evolve import write_observables_csv, write_wavefunction_csv
+
+from oracles import (
+    centered_product_coeffs,
+    literal_centered_coeffs,
+    literal_shifted_coeffs,
+    split_operator_moments,
+)
 
 DW_MASS = math.sqrt(1.0 / 24.0)  # slow-roll double-well mass for a=5, lam=0.01
 DWELL = from_double_well(0.01, 5.0)
@@ -276,26 +284,71 @@ def test_mean_position_stays_zero_in_symmetric_well():
 
 def test_series_matches_pointwise_evaluations():
     # independent all-modes sum sum_ij a_i a_j M_ij cos((E_i - E_j) t) on a
-    # grid of more than two time blocks whose length is not a block multiple,
-    # so an error at a block boundary shows
+    # dyadic grid whose offset table every block reuses, a grid of more than
+    # two time blocks whose length is not a block multiple, so an error at a
+    # block boundary shows, and an irregular grid where every block fills its own
     state, _ = slowroll_state(40, x0=5.0)
-    ts = np.linspace(0.0, 400.0, 1301)
-    x_mean, x2_mean = observables_series(state, ts)
     aa = np.outer(state.a, state.a)
-    phase = np.cos(np.subtract.outer(state.energies, state.energies)[None] * ts[:, None, None])
-    want_x = np.einsum("ij,tij->t", aa * state.x_mat, phase)
-    want_x2 = np.einsum("ij,tij->t", aa * state.x2_mat, phase)
-    assert x_mean == pytest.approx(want_x, rel=1e-12, abs=1e-12)
-    assert x2_mean == pytest.approx(want_x2, rel=1e-12)
+    wx, wx2 = aa * state.x_mat, aa * state.x2_mat
+    bohr = np.subtract.outer(state.energies, state.energies)
+    rng = np.random.default_rng(61)
+    for ts in (np.arange(3001) * 0.25, np.linspace(0.0, 400.0, 1301),
+               np.sort(rng.uniform(0.0, 400.0, 1000))):
+        x_mean, x2_mean = observables_series(state, ts)
+        want_x, want_x2 = np.empty(ts.size), np.empty(ts.size)
+        for j, t in enumerate(ts):
+            phase = np.cos(bohr * t)
+            want_x[j], want_x2[j] = np.sum(wx * phase), np.sum(wx2 * phase)
+        assert x_mean == pytest.approx(want_x, rel=1e-12, abs=1e-12)
+        assert x2_mean == pytest.approx(want_x2, rel=1e-12)
 
 
 def test_series_rejects_asymmetric_operator():
     state, _ = slowroll_state(30, x0=5.0)
     rng = np.random.default_rng(5)
     skew = rng.normal(size=state.x_mat.shape)
-    bad = dataclasses.replace(state, x_mat=state.x_mat + 1e-6 * (skew - skew.T))
-    with pytest.raises(AssertionError):
-        observables_series(bad, np.linspace(0.0, 100.0, 600))
+    for name in ("x_mat", "x2_mat"):
+        bad = dataclasses.replace(state, **{name: getattr(state, name) + 1e-6 * (skew - skew.T)})
+        with pytest.raises(AssertionError):
+            observables_series(bad, np.linspace(0.0, 100.0, 600))
+
+
+def test_series_memory_is_bounded_in_grid_length():
+    state, _ = slowroll_state(160, x0=5.0)
+    assert np.all(np.abs(state.a) >= 1e-14)  # K = 160 modes in every product
+
+    def traced_peak(n_times):
+        times = np.arange(n_times) * 0.25
+        tracemalloc.start()
+        try:
+            observables_series(state, times)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(20001) <= 1.2 * traced_peak(2001)
+
+
+@pytest.mark.parametrize("width, x0, t_max", [(DW_MASS, 0.0, 200.0), (2 * DW_MASS, 5.0, 400.0)],
+                         ids=["centered", "shifted"])
+def test_series_matches_split_operator_propagator(width, x0, t_max):
+    # the same packet propagated on an FFT grid with no basis; the well is
+    # written out with its constant lam a^4 / 24, a global phase
+    state, _ = slowroll_state(80, width=width, x0=x0)
+    g = InitialGaussian(width, x0)
+    ts = np.arange(0.0, t_max + 0.125, 0.25)
+    x_ref, x2_ref = split_operator_moments(lambda x: 0.01 * (x * x - 25.0) ** 2 / 24.0,
+                                           g, ts, dt=0.25)
+    x_mean, x2_mean = observables_series(state, ts)
+    # scale is max <x^2> (its root for <x>); the lost weight psi_T can move
+    # each moment by up to 2 |psi_T| |x^k psi|
+    scale = float(np.max(x2_ref))
+    err_x = float(np.max(np.abs(x_mean - x_ref))) / math.sqrt(scale)
+    err_x2 = float(np.max(np.abs(x2_mean - x2_ref))) / scale
+    print(f"split operator: <x> off by {err_x:.1e}, <x^2> by {err_x2:.1e} of scale")
+    tol = 1e-10 + 4.0 * math.sqrt(state.truncation_loss)
+    assert err_x <= tol
+    assert err_x2 <= tol
 
 
 def test_mode_dropping_matches_full_sum():
@@ -418,3 +471,31 @@ def test_scalar_argument_returns_scalar():
     state, _ = slowroll_state(20)
     val = wavefunction_at(state, 0.3, 1.0)
     assert isinstance(val, complex)
+
+
+# ----------------------------------------------------------------- writers
+
+def _per_row_csv(header, *columns):
+    row = ",".join(["{:.17g}"] * len(columns)).format
+    return "\n".join(header + [row(*r) for r in zip(*columns)]) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 4001])
+def test_writers_match_per_row_formatting(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    cols = rng.normal(size=(5, n_rows)) * 10.0 ** rng.integers(-150, 150, size=(5, n_rows))
+    t, x, x2, re, im = cols.tolist()
+    if n_rows:
+        x2[0] = -0.0
+        x2[-1] = -abs(x2[-1])  # roundoff below zero clamps to 0
+        re[0], im[0] = -0.0, 0.0
+    write_observables_csv(tmp_path / "obs.csv", t, x, x2, 1.25e-3)
+    want = _per_row_csv(["# truncation_loss=0.00125", "t,x_mean,x2_mean,sqrt_x2"],
+                        t, x, x2, [math.sqrt(max(v, 0.0)) for v in x2])
+    assert (tmp_path / "obs.csv").read_text() == want
+    psi = np.empty(n_rows, dtype=complex)
+    psi.real, psi.imag = re, im  # re + 1j * im would turn -0.0 into 0.0
+    write_wavefunction_csv(tmp_path / "psi.csv", t, psi)
+    want = _per_row_csv(["x,re,im,abs2"], t, re, im,
+                        [abs(complex(r, i)) ** 2 for r, i in zip(re, im)])
+    assert (tmp_path / "psi.csv").read_text() == want
