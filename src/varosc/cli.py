@@ -141,6 +141,14 @@ def _one_of(block: dict, name: str, one: str, many: str) -> tuple:
     return block[many] or (block[one],)
 
 
+def _tagged(path: str, tag: str, values: tuple) -> dict:
+    """Output-file tag -> value, as '_w0.5' for tag 'w'; values that print alike are an error."""
+    tagged = {f"_{tag}{v:g}": v for v in values}
+    if len(tagged) < len(values):
+        raise ConfigError(f"config field '{path}' names one output file twice: {list(values)!r}")
+    return tagged
+
+
 def _validate(command: str, cfg) -> dict:
     """The config as plain values: the walk checks each field, then the rules across fields."""
     vals = _walk("", cfg, {"potential": None, "output": {"dir": _Field("string", default="out")},
@@ -151,7 +159,7 @@ def _validate(command: str, cfg) -> dict:
         raise ConfigError("solver.optimize_sigma cannot be combined with "
                           "solver.target_level: a centered block is solved at sigma = 0")
     if command == "trace-scan":
-        solver["dims"] = _one_of(solver, "solver", "dim", "dims")
+        solver["dims"] = _tagged("solver.dims", "n", _one_of(solver, "solver", "dim", "dims"))
         scan = vals["scan"]
         if not scan["omega_max"] > scan["omega_min"]:
             raise ConfigError("scan.omega_max must exceed scan.omega_min")
@@ -166,7 +174,11 @@ def _validate(command: str, cfg) -> dict:
             raise ConfigError("solver.n_ref must be at least every dimension in solver.dims")
     if command == "evolve":
         evo = vals["evolution"]
-        evo["widths"] = _one_of(evo, "evolution", "width", "widths")
+        widths = _one_of(evo, "evolution", "width", "widths")
+        # one width writes untagged files
+        evo["widths"] = (_tagged("evolution.widths", "w", widths) if len(widths) > 1
+                         else {"": widths[0]})
+        evo["snapshot_times"] = _tagged("evolution.snapshot_times", "t", evo["snapshot_times"])
         if evo["initial"] == "centered" and evo["x0"] != 0.0:
             raise ConfigError("centered initial state must have x0 = 0")
         if not evo["t_max"] / evo["t_step"] < _MAX_STEPS:
@@ -221,7 +233,7 @@ def cmd_trace_scan(vals: dict, args) -> int:
     pot, scan = vals["potential"], vals["scan"]
     w_lo, w_hi, omegas = scan["omega_min"], scan["omega_max"], scan["omegas"]
     out = _outdir(vals, args)
-    for dim in vals["solver"]["dims"]:
+    for tag, dim in vals["solver"]["dims"].items():
         values = trace_scan(pot, dim, omegas)
         try:
             omega_pms = pms_optimize(pot, dim).omega
@@ -231,7 +243,7 @@ def cmd_trace_scan(vals: dict, args) -> int:
             print(f"warning: stationary frequency {omega_pms:.6g} lies outside "
                   f"the scan window for dim={dim}", file=sys.stderr)
             omega_pms = None
-        path = out / f"trace_scan_n{dim}.csv"
+        path = out / f"trace_scan{tag}.csv"
         sp.write_trace_scan_csv(path, dim, omegas, values, omega_pms)
         print(f"trace-scan: wrote {path}")
     return 0
@@ -261,21 +273,17 @@ def cmd_evolve(vals: dict, args) -> int:
                                optimize_sigma=solver["optimize_sigma"])
     basis = report.solution.config
     out = _outdir(vals, args)
-    for w in widths:
-        tag = "" if len(widths) == 1 else f"_w{w:g}"
-        gauss = ev.InitialGaussian(width_param=w, x0=evo["x0"])
-        if evo["quadrature"] or basis.sigma != 0.0 or basis.center != 0:
-            c = ev.project_by_quadrature(gauss, basis)
-        else:
-            c = ev.project_shifted_gaussian(gauss, basis)
+    project = ev.project_by_quadrature if evo["quadrature"] else ev.project_shifted_gaussian
+    for tag, w in widths.items():
+        c = project(ev.InitialGaussian(width_param=w, x0=evo["x0"]), basis)
         state = ev.make_evolution(c, report.solution)
         x_mean, x2_mean = ev.observables_series(state, times)
         path = out / f"observables{tag}.csv"
         ev.write_observables_csv(path, times, x_mean, x2_mean, state.truncation_loss)
         print(f"evolve: wrote {path} (truncation_loss={state.truncation_loss:.3e})")
-        for t_snap in evo["snapshot_times"]:
+        for t_tag, t_snap in evo["snapshot_times"].items():
             psi = ev.wavefunction_at(state, xs, t_snap)
-            spath = out / f"wavefunction{tag}_t{t_snap:g}.csv"
+            spath = out / f"wavefunction{tag}{t_tag}.csv"
             ev.write_wavefunction_csv(spath, xs, psi)
             print(f"evolve: wrote {spath}")
     return 0

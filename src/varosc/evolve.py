@@ -1,14 +1,15 @@
 """Method of stationary states for Gaussian initial wave functions.
 
 An initial state is expanded in the oscillator basis (one closed-form
-recurrence for a Gaussian at any x0 in an unshifted basis, Gauss-Hermite
-quadrature for anything else), rotated into the energy eigenbasis, and evolved
-by attaching phases exp(-i E_n t) with hbar = 1.  Observables are the
-quadratic forms conj(z)^T M z of the amplitudes z_n = a_n exp(-i E_n t):
-trigonometric double sums over Bohr frequencies E_n - E_l, bounded for all
-times with no secular drift.  They are evaluated over blocks of times: one
-table of in-block phase offsets serves every block of an evenly stepped
-grid, and one real matrix product applies both operators to the amplitudes.
+recurrence for a Gaussian at any x0 in any uncentered basis, shifted or not,
+Gauss-Hermite quadrature for anything else), rotated into the energy
+eigenbasis, and evolved by attaching phases exp(-i E_n t) with hbar = 1.
+Observables are read back in the basis: the coefficients u(t) = D^T z(t) of
+the amplitudes z_n = a_n exp(-i E_n t) meet the bands of x and x^2, so
+<x> and <x^2> are short band sums, bounded for all times with no secular
+drift.  They are evaluated over blocks of times: one table of in-block phase
+offsets serves every block of an evenly stepped grid, and one real matrix
+product takes each block's amplitudes back to the basis.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .eigen import EigenSolution
-from .oscbasis import BasisConfig, _hermite_rows, basis_functions, position_power_matrix
+from .oscbasis import BasisConfig, _hermite_rows, _power_bands, basis_functions
 
 __all__ = [
     "InitialGaussian",
@@ -35,12 +36,12 @@ __all__ = [
     "write_wavefunction_csv",
 ]
 
-# eigenmodes below this amplitude are dropped from observable double sums;
-# the induced error is bounded by sum(dropped |a_n|) * ||x^p|| over the block
+# eigenmodes below this amplitude are dropped from the observables; the
+# induced error is bounded by 2 sum(dropped |a_n|) * ||x^p|| over the block
 _MODE_CUTOFF = 1e-14
 
 # observables are evaluated over blocks of this many times, so the phase table
-# and the amplitude arrays are at most K x _TIME_BLOCK complex however long the
+# and the amplitude arrays are at most N x _TIME_BLOCK complex however long the
 # time grid is
 _TIME_BLOCK = 256
 
@@ -78,38 +79,39 @@ class InitialGaussian:
 def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarray:
     """Expansion coefficients of a Gaussian centered at x0.
 
-    A Gaussian is annihilated by d/dx + w0 (x - x0); written in ladder
+    A basis shifted by sigma sees the Gaussian centered at xb = x0 - sigma.
+    The Gaussian is annihilated by d/dx + w0 (x - xb); written in ladder
     operators of the basis this gives the exact three-term recurrence
 
         c_{n+1} = [ (v / sqrt(2)) c_n + t sqrt(n) c_{n-1} ] / sqrt(n+1),
 
     with beta^2 = w0 + omega, t = (omega - w0)/beta^2, v = 2 sqrt(omega) w0
-    x0 / beta^2 and
+    xb / beta^2 and
 
-        c_0 = sqrt(2) (w0 * omega)^(1/4) / beta * exp(-w0 x0^2 omega / (2 beta^2)).
+        c_0 = sqrt(2) (w0 * omega)^(1/4) / beta * exp(-w0 xb^2 omega / (2 beta^2)).
 
     This is the double hypergeometric-style overlap sum collapsed through the
     Hermite generating function; for omega > w0 every recurrence coefficient
-    is positive, so there is no cancellation at any order.  A centered
-    Gaussian (x0 = 0) has v = 0, so its odd coefficients are exactly zero and
-    the even ones follow the product c_{2l} = t sqrt((2l-1)/(2l)) c_{2l-2}.
+    is positive, so there is no cancellation at any order.  A Gaussian on the
+    basis origin (xb = 0) has v = 0, so its odd coefficients are exactly zero
+    and the even ones follow the product c_{2l} = t sqrt((2l-1)/(2l)) c_{2l-2}.
     """
-    if basis.sigma != 0.0 or basis.center != 0:
+    if basis.center != 0:
         raise ValueError(
-            "the Gaussian closed form assumes an unshifted, uncentered basis "
-            f"(sigma={basis.sigma}, center={basis.center}); "
+            f"the Gaussian closed form assumes an uncentered basis (center={basis.center}); "
             "project by quadrature instead"
         )
     w0 = g.width_param / 2.0
     omega = basis.omega
     beta2 = w0 + omega
     t = (omega - w0) / beta2
-    v = 2.0 * math.sqrt(omega) * w0 * g.x0 / beta2
+    xb = g.x0 - basis.sigma
+    v = 2.0 * math.sqrt(omega) * w0 * xb / beta2
     c = np.zeros(basis.dim)
-    if abs(g.x0) >= 1e154 or not math.isfinite(v):  # overflow where every c_n underflows
+    if abs(xb) >= 1e154 or not math.isfinite(v):  # overflow where every c_n underflows
         return c
     c[0] = (math.sqrt(2.0) * (w0 * omega) ** 0.25 / math.sqrt(beta2)
-            * math.exp(-w0 * g.x0**2 * omega / (2.0 * beta2)))
+            * math.exp(-w0 * xb**2 * omega / (2.0 * beta2)))
     if basis.dim > 1:
         c[1] = (v / math.sqrt(2.0)) * c[0]
     for n in range(1, basis.dim - 1):
@@ -152,12 +154,11 @@ def project_by_quadrature(psi0, basis: BasisConfig, n_nodes: int | None = None) 
 class EvolutionState:
     """Eigenbasis amplitudes plus everything needed to evaluate observables.
 
-    a[n] are the (real, t = 0) amplitudes on eigenstates, energies/eigvectors
-    come from the diagonalization, and truncation_loss = max(0, 1 - sum a^2)
-    is the probability weight the finite basis could not capture (clamped,
-    since a fully resolved state can carry 1 + O(eps) after rounding).  x_mat
-    and x2_mat are the position and position-squared operators rotated into
-    the eigenbasis once at construction.
+    a[n] are the (real, t = 0) amplitudes on eigenstates; energies and
+    eigvectors are the solution's own read-only arrays, shared by every
+    state made from it.  truncation_loss = max(0, 1 - sum a^2) is the
+    probability weight the finite basis could not capture (clamped, since a
+    fully resolved state can carry 1 + O(eps) after rounding).
     """
 
     a: np.ndarray
@@ -165,11 +166,9 @@ class EvolutionState:
     eigvectors: np.ndarray
     basis: BasisConfig
     truncation_loss: float
-    x_mat: np.ndarray
-    x2_mat: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.a, self.energies, self.eigvectors, self.x_mat, self.x2_mat):
+        for arr in (self.a, self.energies, self.eigvectors):
             arr.flags.writeable = False
 
     def amplitudes_at(self, t: float) -> np.ndarray:
@@ -207,26 +206,8 @@ def make_evolution(c: np.ndarray, sol: EigenSolution) -> EvolutionState:
             "must be normalized"
         )
     a = d @ c
-    cfg = sol.config
-    x1 = position_power_matrix(1, cfg.omega, cfg.dim, cfg.center)
-    x2 = position_power_matrix(2, cfg.omega, cfg.dim, cfg.center)
-    return EvolutionState(
-        a=a,
-        energies=sol.energies.copy(),
-        eigvectors=d.copy(),
-        basis=cfg,
-        truncation_loss=max(0.0, float(1.0 - np.dot(a, a))),
-        x_mat=d @ x1 @ d.T,
-        x2_mat=d @ x2 @ d.T,
-    )
-
-
-def _active(state: EvolutionState):
-    keep = np.abs(state.a) >= _MODE_CUTOFF
-    if not np.any(keep):
-        keep = np.zeros_like(keep)
-        keep[0] = True
-    return keep
+    return EvolutionState(a=a, energies=sol.energies, eigvectors=d, basis=sol.config,
+                          truncation_loss=max(0.0, float(1.0 - np.dot(a, a))))
 
 
 def observables_series(state: EvolutionState, times: np.ndarray):
@@ -236,15 +217,26 @@ def observables_series(state: EvolutionState, times: np.ndarray):
     in blocks of _TIME_BLOCK so memory stays bounded for any grid length.  A
     block starting at t0 takes its phases as e^{-iE t0} times the offset table
     e^{-iE (t-t0)}, which every later block with the same offsets reuses (all
-    of an evenly stepped grid).  One real product of the stacked operators
-    with the real view of z^T gives M z^T for both observables.  An imaginary
-    part that does not cancel means an operator was not symmetric.
+    of an evenly stepped grid).  One real product of the kept eigenvector rows
+    with the real view of z^T gives the basis coefficients u = D^T z, with the
+    real and imaginary parts of each time in adjacent columns.  The bands of
+    x and x^2 then give
+
+        <x>   = 2 sum_n x_{n,n+1} Re(conj(u_n) u_{n+1}),
+        <x^2> = sum_n x2_{n,n} |u_n|^2 + 2 sum_n x2_{n,n+2} Re(conj(u_n) u_{n+2}),
+
+    each a matrix-vector product with the products of shifted rows of u.
     """
     times = np.asarray(times, dtype=float).ravel()
-    keep = _active(state)
+    keep = np.abs(state.a) >= _MODE_CUTOFF
+    if not keep.any():
+        keep[0] = True
     a = state.a[keep]
     e = state.energies[keep]
-    m = np.concatenate((state.x_mat[np.ix_(keep, keep)], state.x2_mat[np.ix_(keep, keep)]))
+    d_keep = state.eigvectors[keep]
+    cfg = state.basis
+    _, x1 = _power_bands(1, cfg.omega, cfg.dim, cfg.center)
+    x2_diag, _, x2_off = _power_bands(2, cfg.omega, cfg.dim, cfg.center)
     out = np.empty((2, times.size))
     offsets = table = None
     for lo in range(0, times.size, _TIME_BLOCK):
@@ -258,15 +250,13 @@ def observables_series(state: EvolutionState, times: np.ndarray):
             np.cos(arg, out=table.real)
             np.sin(arg, out=table.imag)
         zt = (a * np.exp(-1j * e * t[0]))[:, None] * table
-        mz = (m @ zt.view(float)).view(complex).reshape(2, e.size, t.size)
-        val = np.einsum("kt,jkt->jt", zt.conj(), mz)
-        if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val.real), 1.0)):
-            raise AssertionError(
-                f"imaginary part {np.max(np.abs(val.imag)):.3e} failed to cancel in an observable"
-            )
-        out[:, lo:lo + t.size] = val.real
+        u = d_keep.T @ zt.view(float)
+        sums = np.array((2.0 * (x1[:-1] @ (u[:-1] * u[1:])),
+                         x2_diag @ (u * u) + 2.0 * (x2_off[:-2] @ (u[:-2] * u[2:]))))
+        # adjacent columns hold the real and imaginary parts of one time
+        out[:, lo:lo + t.size] = sums[:, 0::2] + sums[:, 1::2]
     x_mean, x2_mean = out
-    s = state.basis.sigma
+    s = cfg.sigma
     if s != 0.0:
         x2_mean = x2_mean + 2.0 * s * x_mean + s * s
         x_mean = x_mean + s

@@ -10,6 +10,9 @@ rationals (diagonal elements by applying the ladder operators to |n>) and
 evaluate it with mpmath.  lower_bands turns a dense symmetric test
 matrix into the band storage the eigensolver takes.  split_operator_moments
 propagates a wave function on an FFT grid, with no basis or eigenpairs.
+eigenbasis_position_power rotates the package's dense x^p into the
+eigenbasis, for the reference sums over pairs of eigenstates that the
+evolution kernel itself never forms.
 """
 import functools
 import math
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite, gammaln, roots_hermite
 
-from varosc import basis_functions
+from varosc import basis_functions, position_power_matrix
 
 
 def hermite_function(n: int, omega: float, x: np.ndarray) -> np.ndarray:
@@ -415,6 +418,15 @@ def lower_bands(a: np.ndarray) -> np.ndarray:
         if outside == 0:
             break
     return np.array(bands)
+
+
+def eigenbasis_position_power(p: int, state) -> np.ndarray:
+    """(x^p)_{nl} between eigenstates n, l of an evolution state: D X D^T over the block.
+
+    x is the basis coordinate; a shifted basis adds sigma to it.
+    """
+    cfg, d = state.basis, state.eigvectors
+    return d @ position_power_matrix(p, cfg.omega, cfg.dim, cfg.center) @ d.T
 
 
 def _strang_moments(v, psi0, times, dt: float, lo: float, hi: float, points: int):

@@ -17,7 +17,12 @@ from varosc.evolve import (
     project_shifted_gaussian,
 )
 
-from oracles import fd_lowest_levels, gh_position_block, position_power_closed_form
+from oracles import (
+    eigenbasis_position_power,
+    fd_lowest_levels,
+    gh_position_block,
+    position_power_closed_form,
+)
 
 QUARTIC = v.from_quartic(1.0, 1000.0)
 DWELL = v.from_double_well(0.01, 5.0)
@@ -246,7 +251,8 @@ def test_criterion_11_shifted_frequency_trend(dwell_solutions):
         losses.append(state.truncation_loss)
         assert state.truncation_loss >= 0.0
         # exact line spectrum over pairs n < l: no window, no FFT bias
-        amps = np.triu(np.abs(2.0 * np.outer(state.a, state.a) * state.x_mat), 1)
+        amps = np.triu(np.abs(2.0 * np.outer(state.a, state.a)
+                              * eigenbasis_position_power(1, state)), 1)
         n, l = np.unravel_index(np.argmax(amps), amps.shape)
         lines.append(((int(n), int(l)), float(amps[n, l])))
         x_mean, _ = observables_series(state, times)

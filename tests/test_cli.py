@@ -246,6 +246,15 @@ def test_empty_lists_are_config_errors(tmp_path, capsys, command, cfg):
     ("spectrum", {"potential": _QUARTIC, "solver": {"dim": 6}, "output": "x"}, "output"),
     ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"], "tmax": 2.0}},
      "evolution.tmax"),
+    # values that print alike under {:g} would overwrite each other's files
+    ("evolve", {**_EVOLVE_CFG, "evolution": {"initial": "centered", "t_max": 1.0, "t_step": 0.5,
+                                             "widths": [0.2041241, 0.2041242]}},
+     "evolution.widths"),
+    ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"],
+                                             "snapshot_times": [1.0000001, 1.0000002]}},
+     "evolution.snapshot_times"),
+    ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": [4, 6, 4]}, "scan": _SCAN},
+     "solver.dims"),
 ])
 def test_unread_blocks_and_keys_are_named_config_errors(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, cfg)
@@ -272,6 +281,25 @@ def test_far_shifted_packet_reports_its_loss(tmp_path, capsys):
         for x0 in (1e300, -1e300):
             c = project_shifted_gaussian(InitialGaussian(width, x0), BasisConfig(20, omega))
             assert np.all(np.isfinite(c))
+
+
+def test_shifted_basis_evolution_needs_no_quadrature(tmp_path, monkeypatch):
+    # asym_demo's PMS basis is shifted (sigma = -3.595); the closed form
+    # serves it, and quadrature runs only when the config asks for it
+    import varosc.evolve
+
+    def never(*args, **kwargs):
+        raise AssertionError("projected by quadrature")
+
+    monkeypatch.setattr(varosc.evolve, "project_by_quadrature", never)
+    path = write_config(tmp_path, {
+        "potential": {"kind": "asym_demo"}, "solver": {"dim": 40, "optimize_sigma": True},
+        "evolution": {"initial": "shifted", "x0": -3.0, "width": 60.0,
+                      "t_max": 1.0, "t_step": 0.5},
+    })
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    header = (tmp_path / "o" / "observables.csv").read_text().splitlines()[0]
+    assert float(header.split("=")[1]) < 1e-12
 
 
 def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +9,7 @@ from varosc import (
     BasisResolutionError,
     InitialGaussian,
     PolynomialPotential,
+    asym_demo,
     assemble_hamiltonian,
     basis_functions,
     diagonalize,
@@ -19,6 +19,7 @@ from varosc import (
     observables_series,
     project_by_quadrature,
     project_shifted_gaussian,
+    solve_centered,
     solve_spectrum,
     wavefunction_at,
 )
@@ -27,6 +28,7 @@ from varosc.evolve import write_observables_csv, write_wavefunction_csv
 
 from oracles import (
     centered_product_coeffs,
+    eigenbasis_position_power,
     literal_centered_coeffs,
     literal_shifted_coeffs,
     split_operator_moments,
@@ -141,9 +143,19 @@ def test_slowroll_shifted_completeness():
 def test_closed_forms_reject_shifted_or_centered_bases():
     for g in (InitialGaussian(1.0), InitialGaussian(1.0, 2.0)):
         with pytest.raises(ValueError):
-            project_shifted_gaussian(g, BasisConfig(dim=8, omega=1.0, sigma=0.5))
-        with pytest.raises(ValueError):
             project_shifted_gaussian(g, BasisConfig(dim=8, omega=1.0, center=2))
+
+
+def test_shifted_basis_matches_quadrature_elementwise():
+    # asym_demo's PMS basis has sigma = -3.595: the closed form sees the
+    # packet at x0 - sigma, the quadrature samples it at x + sigma
+    basis = solve_spectrum(asym_demo(), 40, optimize_sigma=True).solution.config
+    assert basis.sigma < -3.0
+    for width, x0 in ((20.0, -3.6), (31.0, -3.0), (60.0, -4.5), (120.0, -3.0)):
+        gauss = InitialGaussian(width, x0)
+        closed = project_shifted_gaussian(gauss, basis)
+        quad = project_by_quadrature(gauss, basis, n_nodes=320)
+        assert np.max(np.abs(closed - quad)) < 1e-12
 
 
 @pytest.mark.parametrize("width, x0", [
@@ -282,35 +294,67 @@ def test_mean_position_stays_zero_in_symmetric_well():
     assert np.all(np.abs(x_mean) < 1e-9)
 
 
-def test_series_matches_pointwise_evaluations():
-    # independent all-modes sum sum_ij a_i a_j M_ij cos((E_i - E_j) t) on a
-    # dyadic grid whose offset table every block reuses, a grid of more than
-    # two time blocks whose length is not a block multiple, so an error at a
-    # block boundary shows, and an irregular grid where every block fills its own
-    state, _ = slowroll_state(40, x0=5.0)
+def cos_sum_moments(state, ts):
+    """<x> and <x^2> as all-mode sums sum_nl a_n a_l M_nl cos((E_n - E_l) t), one time at a time.
+
+    M is x + sigma and (x + sigma)^2 rotated into the eigenbasis, so the
+    reference shares neither the basis-coefficient kernel nor its shift.
+    """
+    s = state.basis.sigma
+    x = eigenbasis_position_power(1, state)
+    eye = np.eye(x.shape[0])
     aa = np.outer(state.a, state.a)
-    wx, wx2 = aa * state.x_mat, aa * state.x2_mat
+    wx = aa * (x + s * eye)
+    wx2 = aa * (eigenbasis_position_power(2, state) + 2.0 * s * x + s * s * eye)
     bohr = np.subtract.outer(state.energies, state.energies)
+    want_x, want_x2 = np.empty(ts.size), np.empty(ts.size)
+    for j, t in enumerate(ts):
+        phase = np.cos(bohr * t)
+        want_x[j], want_x2[j] = np.sum(wx * phase), np.sum(wx2 * phase)
+    return want_x, want_x2
+
+
+def test_series_matches_pointwise_evaluations():
+    # independent all-modes cos-sum on a dyadic grid whose offset table every
+    # block reuses, a grid of more than two time blocks whose length is not a
+    # block multiple, so an error at a block boundary shows, and an irregular
+    # grid where every block fills its own
+    state, _ = slowroll_state(40, x0=5.0)
     rng = np.random.default_rng(61)
     for ts in (np.arange(3001) * 0.25, np.linspace(0.0, 400.0, 1301),
                np.sort(rng.uniform(0.0, 400.0, 1000))):
         x_mean, x2_mean = observables_series(state, ts)
-        want_x, want_x2 = np.empty(ts.size), np.empty(ts.size)
-        for j, t in enumerate(ts):
-            phase = np.cos(bohr * t)
-            want_x[j], want_x2[j] = np.sum(wx * phase), np.sum(wx2 * phase)
+        want_x, want_x2 = cos_sum_moments(state, ts)
         assert x_mean == pytest.approx(want_x, rel=1e-12, abs=1e-12)
         assert x2_mean == pytest.approx(want_x2, rel=1e-12)
 
 
-def test_series_rejects_asymmetric_operator():
-    state, _ = slowroll_state(30, x0=5.0)
-    rng = np.random.default_rng(5)
-    skew = rng.normal(size=state.x_mat.shape)
-    for name in ("x_mat", "x2_mat"):
-        bad = dataclasses.replace(state, **{name: getattr(state, name) + 1e-6 * (skew - skew.T)})
-        with pytest.raises(AssertionError):
-            observables_series(bad, np.linspace(0.0, 100.0, 600))
+def shifted_basis_state():
+    rep = solve_spectrum(asym_demo(), 40, optimize_sigma=True)
+    # resolved: the kernel adds sigma to <x> as for a unit-norm state
+    c = project_shifted_gaussian(InitialGaussian(60.0, -3.0), rep.solution.config)
+    return make_evolution(c, rep.solution)
+
+
+def centered_block_state():
+    # levels 20..39 of a quartic in the block [20, 40), any unit vector in it
+    rep = solve_centered(from_quartic(1.0, 1.0), 30, 20)
+    c = np.random.default_rng(83).normal(size=20)
+    return make_evolution(c / np.linalg.norm(c), rep.solution)
+
+
+@pytest.mark.parametrize("make_state", [shifted_basis_state, centered_block_state],
+                         ids=["sigma", "center"])
+def test_series_matches_cos_sum_on_shifted_and_centered_blocks(make_state):
+    state = make_state()
+    cfg = state.basis
+    assert cfg.sigma != 0.0 or cfg.center != 0
+    rng = np.random.default_rng(67)
+    for ts in (np.arange(601) * 0.01, np.sort(rng.uniform(0.0, 6.0, 300))):
+        x_mean, x2_mean = observables_series(state, ts)
+        want_x, want_x2 = cos_sum_moments(state, ts)
+        assert x_mean == pytest.approx(want_x, rel=1e-12, abs=1e-12)
+        assert x2_mean == pytest.approx(want_x2, rel=1e-12)
 
 
 def test_series_memory_is_bounded_in_grid_length():
@@ -359,9 +403,10 @@ def test_mode_dropping_matches_full_sum():
     rep = solve_spectrum(pot, 30)
     c = project_shifted_gaussian(InitialGaussian(2 * m * (1 + 1e-10)), rep.solution.config)
     state = make_evolution(c, rep.solution)
+    x2 = eigenbasis_position_power(2, state)
     full = np.array([
         np.conj(state.a * np.exp(-1j * state.energies * t))
-        @ state.x2_mat @ (state.a * np.exp(-1j * state.energies * t))
+        @ x2 @ (state.a * np.exp(-1j * state.energies * t))
         for t in (0.0, 2.0)
     ]).real
     assert observables_series(state, [0.0, 2.0])[1] == pytest.approx(full, rel=1e-12)
@@ -416,7 +461,8 @@ def test_no_secular_growth_of_spread():
     # rigorous time-independent envelope of the trigonometric double sum
     keep = np.abs(state.a) >= 1e-14
     a = np.abs(state.a[keep])
-    envelope = float(a @ np.abs(state.x2_mat[np.ix_(keep, keep)]) @ a)
+    x2 = eigenbasis_position_power(2, state)
+    envelope = float(a @ np.abs(x2[np.ix_(keep, keep)]) @ a)
     assert float(np.max(x2_long)) <= envelope
     # quasi-periodic recurrences, but no upward trend past the first windows
     in_horizon = float(np.max(x2_long[long_ts <= horizon]))
