@@ -3,8 +3,8 @@
 Pipeline: a confining polynomial potential is represented exactly, the
 oscillator-basis frequency (and optionally a coordinate shift) is fixed at a
 stationary point of the truncated Hamiltonian trace, the resulting banded
-symmetric matrix is assembled in band storage and diagonalized (densified
-only when every eigenpair is needed), and Gaussian initial states are
+symmetric matrix is assembled in band storage and diagonalized from its
+bands (no dense matrix is formed), and Gaussian initial states are
 propagated by the method of stationary states.
 """
 
@@ -24,8 +24,6 @@ from .oscbasis import (
     HamiltonianMatrix,
     assemble_hamiltonian,
     basis_functions,
-    momentum_squared_matrix,
-    position_power_matrix,
 )
 from .pms import (
     ConvergenceError,

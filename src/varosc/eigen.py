@@ -1,25 +1,26 @@
 """Symmetric eigensolves of a Hamiltonian block, whole or for selected levels.
 
 The block arrives in LAPACK lower band storage (HamiltonianMatrix.bands),
-symmetric by construction.  Two paths, one contract (ascending energies):
+symmetric by construction, and every request goes to LAPACK's banded
+symmetric solver (scipy.linalg.eig_banded) with those bands as they are.
+The solver reduces the band to tridiagonal form and then:
 
-- the whole block: the bands are densified and handed to LAPACK's dense
-  symmetric solver via numpy.linalg.eigh, with orthonormal eigenvector rows
-  and deterministic signs.  Time evolution needs every eigenvector and uses
-  this path;
-- selected levels: the bands go straight to LAPACK's banded solver
-  (scipy.linalg.eigvals_banded, select='i'), which reduces to tridiagonal
-  form and bisects for the requested eigenvalues only.  No eigenvector and
-  no dense matrix is formed; spectra and convergence tables use this path.
-  A request for every level takes the dense solver and drops its vectors,
-  so whole-block energies never depend on which path asked for them.
+- the whole block with eigenvectors (time evolution needs every one):
+  divide and conquer (?sbevd), giving orthonormal eigenvector rows, here
+  with deterministic signs;
+- the whole block's energies only (a spectrum without --levels): the
+  eigenvalue-only branch of the same driver, which forms no eigenvector;
+- a strict subset of the levels (spectra with --levels, convergence
+  tables): bisection for the requested eigenvalues only (?sbevx).
+
+No dense matrix is formed on any path, and energies come back ascending.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg import eig_banded
 
 from .oscbasis import BasisConfig, HamiltonianMatrix
 
@@ -48,41 +49,39 @@ class EigenSolution:
 
 
 def diagonalize(h: HamiltonianMatrix, levels: range | None = None) -> EigenSolution:
-    """Eigenvalues (and, for the whole block, eigenvectors) of a symmetric block.
+    """Eigenvalues (and, for levels=None, eigenvectors) of a symmetric block.
 
-    levels=None solves the whole block with dense eigh.  Energies come back
-    sorted ascending, and each eigenvector row is rescaled so its
-    largest-magnitude entry is positive, making the output deterministic;
-    downstream projections rely only on orthonormality, so any fixed
-    convention works.
+    Every request is solved from the bands by one eig_banded call.
+    levels=None returns every eigenpair.  Energies come back sorted
+    ascending, and each eigenvector row is rescaled so its largest-magnitude
+    entry is positive, making the output deterministic; downstream
+    projections rely only on orthonormality, so any fixed convention works.
 
     levels, a contiguous range of block indices, returns only those
-    energies, with vectors=None and offset=levels.start.  A strict subset of
-    the block is solved from its bands.  The whole block goes through eigh
-    as with levels=None, so its energies carry the same bits however they
-    are asked for.
+    energies, with vectors=None and offset=levels.start.  The whole block
+    takes the eigenvalue-only branch of the full solver; a strict subset is
+    found by bisection, which for the whole block would take ten times as
+    much.  The eigenvalue-only and the eigenvector branches reach the same
+    energies through different tridiagonal solvers, so they may differ in
+    the last bits.
     """
     dim = h.config.dim
-    if levels is not None:
-        if levels.step != 1 or not 0 <= levels.start < levels.stop <= dim:
-            raise ValueError(
-                f"levels {levels} are not a contiguous non-empty range of the "
-                f"block indices [0, {dim})"
-            )
-        if len(levels) < dim:
-            try:
-                energies = eigvals_banded(h.bands, lower=True, select="i",
-                                          select_range=(levels.start, levels.stop - 1))
-            except np.linalg.LinAlgError as exc:
-                raise DiagonalizationError(f"banded eigensolver failed: {exc}") from exc
-            return EigenSolution(energies=energies, vectors=None, config=h.config,
-                                 offset=levels.start)
+    if levels is not None and (levels.step != 1
+                               or not 0 <= levels.start < levels.stop <= dim):
+        raise ValueError(
+            f"levels {levels} are not a contiguous non-empty range of the "
+            f"block indices [0, {dim})"
+        )
+    subset = levels is not None and len(levels) < dim
     try:
-        energies, columns = np.linalg.eigh(h.dense())
+        out = eig_banded(h.bands, lower=True, eigvals_only=levels is not None,
+                         select="i" if subset else "a",
+                         select_range=(levels.start, levels.stop - 1) if subset else None)
     except np.linalg.LinAlgError as exc:
-        raise DiagonalizationError(f"eigensolver did not converge: {exc}") from exc
+        raise DiagonalizationError(f"banded eigensolver failed: {exc}") from exc
     if levels is not None:
-        return EigenSolution(energies=energies, vectors=None, config=h.config)
+        return EigenSolution(energies=out, vectors=None, config=h.config, offset=levels.start)
+    energies, columns = out
     vectors = columns.T.copy()
     lead = np.abs(vectors).argmax(axis=1)
     signs = np.sign(vectors[np.arange(vectors.shape[0]), lead])

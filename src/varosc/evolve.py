@@ -226,6 +226,13 @@ def observables_series(state: EvolutionState, times: np.ndarray):
         <x^2> = sum_n x2_{n,n} |u_n|^2 + 2 sum_n x2_{n,n+2} Re(conj(u_n) u_{n+2}),
 
     each a matrix-vector product with the products of shifted rows of u.
+
+    Both are moments of the truncated state psi_N = sum_n a_n phi_n, of norm^2
+    sum a_n^2 = 1 - loss, not renormalized.  A basis shifted by sigma measures
+    x - sigma, so sigma and sigma^2 enter weighted by that norm^2 (taken over
+    the kept modes and not clamped): <x> gains sigma sum a^2, and <x^2> gains
+    2 sigma <x - sigma> + sigma^2 sum a^2.  A shifted and an unshifted basis
+    holding the same psi_N thus report the same moments, lossy or not.
     """
     times = np.asarray(times, dtype=float).ravel()
     keep = np.abs(state.a) >= _MODE_CUTOFF
@@ -258,8 +265,9 @@ def observables_series(state: EvolutionState, times: np.ndarray):
     x_mean, x2_mean = out
     s = cfg.sigma
     if s != 0.0:
-        x2_mean = x2_mean + 2.0 * s * x_mean + s * s
-        x_mean = x_mean + s
+        norm2 = float(a @ a)
+        x2_mean = x2_mean + 2.0 * s * x_mean + s * s * norm2
+        x_mean = x_mean + s * norm2
     return x_mean, x2_mean
 
 

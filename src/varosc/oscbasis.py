@@ -14,9 +14,9 @@ max(deg V, 2).  Matrix elements of x^p are built exactly in band storage by
 applying the ladder p times on an index range enlarged by p on each side, so
 that truncation never corrupts the returned block (a length-p hopping path
 cannot leave the enlarged range and return).  The Hamiltonian is summed band
-by band and stays in that band storage; a dense copy is formed only where a
-caller asks for one.  The tests check every element against a closed-form
-summation and Gauss-Hermite quadrature.
+by band and stays in that band storage, which is what the eigensolver
+takes; no dense matrix is formed.  The tests check every element against a
+closed-form summation and Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ from .potential import PolynomialPotential
 __all__ = [
     "BasisConfig",
     "HamiltonianMatrix",
-    "position_power_matrix",
-    "momentum_squared_matrix",
     "assemble_hamiltonian",
     "basis_functions",
 ]
@@ -85,10 +83,6 @@ class HamiltonianMatrix:
             )
         self.bands.flags.writeable = False
 
-    def dense(self) -> np.ndarray:
-        """The full dim x dim matrix, exactly symmetric."""
-        return _densify(self.bands)
-
 
 def _check_omega(omega: float):
     if not (omega > 0.0 and math.isfinite(omega)):
@@ -122,44 +116,6 @@ def _power_bands(p: int, omega: float, dim: int, center: int) -> np.ndarray:
     return out
 
 
-def _densify(bands: np.ndarray) -> np.ndarray:
-    """Symmetric dense matrix from upper bands out[k, i] = M_{i, i+k}."""
-    dim = bands.shape[1]
-    out = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for k in range(min(bands.shape[0], dim)):
-        out[idx[:dim - k], idx[k:]] = bands[k, :dim - k]
-        out[idx[k:], idx[:dim - k]] = bands[k, :dim - k]
-    return out
-
-
-def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np.ndarray:
-    """Exact matrix elements (x^p)_{n,l} for n, l in [center, center+dim).
-
-    Parameters
-    ----------
-    p : int
-        Non-negative power of the position operator.
-    omega : float
-        Basis frequency, > 0.
-    dim : int
-        Block dimension.
-    center : int
-        Lowest global index of the block.
-
-    Returns
-    -------
-    ndarray of shape (dim, dim), exactly symmetric, banded with half
-    bandwidth p, and with exact zeros wherever p + n + l is odd.
-    """
-    _check_omega(omega)
-    if p < 0:
-        raise ValueError(f"power must be >= 0, got {p}")
-    if p == 0:
-        return np.eye(dim)
-    return _densify(_power_bands(p, omega, dim, center))
-
-
 @functools.lru_cache(maxsize=64)
 def _block_moments(dim: int, center: int, degree: int) -> tuple[float, ...]:
     """Block moments D_j = sum_n (x^j)_{n,n} omega^(j/2), n in [center, center+dim).
@@ -191,12 +147,6 @@ def _momentum_squared_bands(omega: float, dim: int, center: int) -> np.ndarray:
     m = n[:-2]
     out[2, :m.size] = -(omega / 2.0) * np.sqrt((m + 1.0) * (m + 2.0))
     return out
-
-
-def momentum_squared_matrix(omega: float, dim: int, center: int = 0) -> np.ndarray:
-    """Matrix of p^2, pentadiagonal with a zero first off-diagonal."""
-    _check_omega(omega)
-    return _densify(_momentum_squared_bands(omega, dim, center))
 
 
 def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> HamiltonianMatrix:

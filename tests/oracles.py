@@ -8,11 +8,15 @@ package's basis_functions for the tests that probe single values.
 exact_trace and exact_stationary_point build the block trace from exact
 rationals (diagonal elements by applying the ladder operators to |n>) and
 evaluate it with mpmath.  lower_bands turns a dense symmetric test
-matrix into the band storage the eigensolver takes.  split_operator_moments
-propagates a wave function on an FFT grid, with no basis or eigenpairs.
-eigenbasis_position_power rotates the package's dense x^p into the
-eigenbasis, for the reference sums over pairs of eigenstates that the
-evolution kernel itself never forms.
+matrix into the band storage the eigensolver takes, and dense turns a
+Hamiltonian block's bands back into the full matrix; the library itself
+never forms one.  position_power_matrix and momentum_squared_matrix are the
+dense x^p and p^2 blocks, read off the package's own bands for the tests
+that compare whole matrices.  block_levels_mp solves a block's dense matrix
+at 30 digits with mpmath.  split_operator_moments propagates a wave function
+on an FFT grid, with no basis or eigenpairs.  eigenbasis_position_power
+rotates the dense x^p into the eigenbasis, for the reference sums over
+pairs of eigenstates that the evolution kernel itself never forms.
 """
 import functools
 import math
@@ -25,7 +29,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite, gammaln, roots_hermite
 
-from varosc import basis_functions, position_power_matrix
+from varosc import basis_functions
+from varosc.oscbasis import _check_omega, _momentum_squared_bands, _power_bands
 
 
 def hermite_function(n: int, omega: float, x: np.ndarray) -> np.ndarray:
@@ -418,6 +423,55 @@ def lower_bands(a: np.ndarray) -> np.ndarray:
         if outside == 0:
             break
     return np.array(bands)
+
+
+def _densify(bands: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix from upper bands out[k, i] = M_{i, i+k}."""
+    dim = bands.shape[1]
+    out = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    for k in range(min(bands.shape[0], dim)):
+        out[idx[:dim - k], idx[k:]] = bands[k, :dim - k]
+        out[idx[k:], idx[:dim - k]] = bands[k, :dim - k]
+    return out
+
+
+def dense(h) -> np.ndarray:
+    """The full dim x dim matrix of a HamiltonianMatrix, exactly symmetric."""
+    return _densify(h.bands)
+
+
+def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np.ndarray:
+    """Exact matrix elements (x^p)_{n,l} for n, l in [center, center+dim).
+
+    The dense form of the package's bands: exactly symmetric, banded with
+    half bandwidth p, and with exact zeros wherever p + n + l is odd.
+    """
+    _check_omega(omega)
+    if p < 0:
+        raise ValueError(f"power must be >= 0, got {p}")
+    if p == 0:
+        return np.eye(dim)
+    return _densify(_power_bands(p, omega, dim, center))
+
+
+def momentum_squared_matrix(omega: float, dim: int, center: int = 0) -> np.ndarray:
+    """Matrix of p^2, pentadiagonal with a zero first off-diagonal."""
+    _check_omega(omega)
+    return _densify(_momentum_squared_bands(omega, dim, center))
+
+
+def block_levels_mp(bands: np.ndarray, dps: int = 30) -> np.ndarray:
+    """Every eigenvalue of the block with these upper bands, ascending.
+
+    mpmath.eigsy on the densified bands at dps digits: the float entries
+    are taken as exact binary values, so the result is the block's own
+    spectrum, rounded once to float.  Cost O(dim^3) at dps digits, about
+    half a second at dim = 40.
+    """
+    with mpmath.workdps(dps):
+        levels = mpmath.eigsy(mpmath.matrix(_densify(bands).tolist()), eigvals_only=True)
+        return np.sort(np.array([float(e) for e in levels]))
 
 
 def eigenbasis_position_power(p: int, state) -> np.ndarray:

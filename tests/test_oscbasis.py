@@ -10,12 +10,17 @@ from varosc import (
     basis_functions,
     from_double_well,
     from_quartic,
-    momentum_squared_matrix,
-    position_power_matrix,
 )
 from varosc.oscbasis import _block_moments
 
-from oracles import basis_function_value, gh_position_block, position_power_closed_form
+from oracles import (
+    basis_function_value,
+    dense,
+    gh_position_block,
+    momentum_squared_matrix,
+    position_power_closed_form,
+    position_power_matrix,
+)
 
 
 def rel_compare(a, b, rtol):
@@ -179,7 +184,7 @@ def test_sho_matched_basis_is_diagonal():
     m_osc = 1.7
     pot = PolynomialPotential((0.0, 0.0, m_osc**2 / 2.0))
     cfg = BasisConfig(dim=12, omega=m_osc)
-    h = assemble_hamiltonian(pot, cfg).dense()
+    h = dense(assemble_hamiltonian(pot, cfg))
     np.testing.assert_allclose(h, np.diag(m_osc * (np.arange(12) + 0.5)),
                                rtol=1e-13, atol=1e-13)
 
@@ -187,7 +192,7 @@ def test_sho_matched_basis_is_diagonal():
 def test_single_element_quartic_block():
     pot = from_quartic(1.0, 1000.0)
     for omega in (5.0, 40.0):
-        h = assemble_hamiltonian(pot, BasisConfig(dim=1, omega=omega)).dense()
+        h = dense(assemble_hamiltonian(pot, BasisConfig(dim=1, omega=omega)))
         expected = omega / 4.0 + 1.0 / (4.0 * omega) + 3000.0 / (4.0 * omega**2)
         assert h[0, 0] == pytest.approx(expected, rel=1e-14)
 
@@ -196,8 +201,8 @@ def test_double_well_is_sign_flipped_quartic():
     lam, a = 0.01, 5.0
     m2, g = lam * a * a / 6.0, lam / 24.0
     cfg = BasisConfig(dim=10, omega=0.5)
-    h_dw = assemble_hamiltonian(from_double_well(lam, a), cfg).dense()
-    h_up = assemble_hamiltonian(from_quartic(m2, g, 1), cfg).dense()
+    h_dw = dense(assemble_hamiltonian(from_double_well(lam, a), cfg))
+    h_up = dense(assemble_hamiltonian(from_quartic(m2, g, 1), cfg))
     x2 = position_power_matrix(2, cfg.omega, cfg.dim)
     np.testing.assert_allclose(h_dw, h_up - m2 * x2, rtol=1e-13, atol=1e-16)
 
@@ -205,7 +210,7 @@ def test_double_well_is_sign_flipped_quartic():
 def test_assembled_matrix_symmetric_and_banded():
     pot = from_quartic(2.0, 3.0, -1).shift(0.0)
     cfg = BasisConfig(dim=18, omega=1.1, sigma=0.4)
-    h = assemble_hamiltonian(pot, cfg).dense()
+    h = dense(assemble_hamiltonian(pot, cfg))
     assert np.array_equal(h, h.T)
     bw = max(pot.degree, 2)
     for n in range(18):
@@ -226,7 +231,7 @@ def test_bands_are_read_only_and_trimmed_to_the_block():
 def test_assembly_applies_shift_to_potential():
     pot = from_quartic(1.0, 2.0)
     cfg = BasisConfig(dim=8, omega=1.0, sigma=-0.6)
-    h = assemble_hamiltonian(pot, cfg).dense()
+    h = dense(assemble_hamiltonian(pot, cfg))
     manual = 0.5 * momentum_squared_matrix(1.0, 8)
     for j, kj in enumerate(pot.shift(-0.6).coeffs):
         if kj != 0.0:

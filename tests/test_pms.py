@@ -17,6 +17,7 @@ from varosc import (
 
 from oracles import (
     ClosedFormBranchError,
+    dense,
     exact_stationary_point,
     exact_trace,
     golden_min,
@@ -62,7 +63,7 @@ def test_trace_matches_assembled_hamiltonian():
             center=int(rng.integers(0, 4)),
         )
         diag_path = trace(pot, cfg)
-        matrix_path = float(np.trace(assemble_hamiltonian(pot, cfg).dense()))
+        matrix_path = float(np.trace(dense(assemble_hamiltonian(pot, cfg))))
         assert diag_path == pytest.approx(matrix_path, rel=1e-12)
 
 

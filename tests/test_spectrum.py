@@ -17,7 +17,7 @@ from varosc import (
 )
 from varosc.spectrum import write_convergence_csv, write_levels_csv
 
-from oracles import golden_min
+from oracles import dense, golden_min
 
 
 def test_sho_levels_are_exact():
@@ -90,7 +90,7 @@ def test_single_element_center_is_variational_value():
 
         def diag(logw):
             cfg = BasisConfig(dim=1, omega=math.exp(logw), center=n)
-            return float(assemble_hamiltonian(pot, cfg).dense()[0, 0])
+            return float(dense(assemble_hamiltonian(pot, cfg))[0, 0])
 
         best = diag(golden_min(diag, math.log(1.0), math.log(500.0)))
         assert rep.energies[0] == pytest.approx(best, rel=1e-9)
