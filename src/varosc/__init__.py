@@ -37,7 +37,6 @@ from .spectrum import (
     ConvergenceStudy,
     SpectrumReport,
     convergence_study,
-    solve_centered,
     solve_spectrum,
 )
 

@@ -212,13 +212,10 @@ def cmd_spectrum(vals: dict, args) -> int:
     levels = sp.block_levels(n_dim, target)
     if args.levels:
         levels = _parse_levels(args.levels, levels.start, levels.stop)
-    if target is not None:
-        report = sp.solve_centered(pot, target, n_dim, levels=levels)
-    else:
-        report = sp.solve_spectrum(pot, n_dim, optimize_sigma=solver["optimize_sigma"],
-                                   levels=levels)
+    report = sp.solve_spectrum(pot, n_dim, optimize_sigma=solver["optimize_sigma"],
+                               levels=levels, target_level=target)
     out = _outdir(vals, args)
-    sp.write_levels_csv(out / "levels.csv", report, levels)
+    sp.write_levels_csv(out / "levels.csv", report)
     pms, basis = report.pms, report.solution.config
     payload = {"omega": pms.omega, "sigma": pms.sigma, "trace": pms.trace_value,
                "stationarity_residual": pms.stationarity_residual,

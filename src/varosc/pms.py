@@ -78,15 +78,15 @@ def trace(pot: PolynomialPotential, cfg: BasisConfig) -> float:
     return _block_trace(float(cfg.omega), pot, float(cfg.sigma), cfg.dim, cfg.center)
 
 
-def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray,
-               sigma: float = 0.0) -> np.ndarray:
-    """T_N/N over a frequency grid: trace's closed form on the whole array at once."""
+def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray) -> np.ndarray:
+    """T_N/N over a frequency grid at sigma = 0: trace's closed form on the whole
+    array at once."""
     omegas = np.asarray(omegas, dtype=float)
     if dim < 1:
         raise ValueError(f"basis dimension must be >= 1, got {dim}")
-    if not (np.all((omegas > 0.0) & np.isfinite(omegas)) and math.isfinite(sigma)):
-        raise ValueError("basis frequencies must be positive and finite, and the shift finite")
-    return _block_trace(omegas, pot, float(sigma), dim, 0) / dim
+    if not np.all((omegas > 0.0) & np.isfinite(omegas)):
+        raise ValueError("basis frequencies must be positive and finite")
+    return _block_trace(omegas, pot, 0.0, dim, 0) / dim
 
 
 def _gradient_hessian(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray):

@@ -1,8 +1,10 @@
 """Spectrum pipeline: potential -> PMS parameters -> Hamiltonian -> eigenpairs.
 
-Also provides centered blocks for highly excited states and self-referential
-convergence studies (errors measured against a larger reference block), plus
-the CSV emitters for levels, convergence tables, and trace scans.
+One path, solve_spectrum, serves the lowest N levels and blocks centered on a
+highly excited target level; both label levels by their global index, from
+the eigensolve to the CSV.  Also provides self-referential convergence
+studies (errors measured against a larger reference block), plus the CSV
+emitters for levels, convergence tables, and trace scans.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ __all__ = [
     "SpectrumReport",
     "ConvergenceStudy",
     "solve_spectrum",
-    "solve_centered",
     "convergence_study",
     "block_levels",
     "write_levels_csv",
@@ -47,41 +48,26 @@ class ConvergenceStudy:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """PMS result and eigensolution of one block.
-
-    requested_levels are global level indices; the solution holds energies
-    for block indices offset, offset+1, ... (global index = center + block
-    index), at least covering the requested levels.
-    """
+    """PMS result and eigensolution of one block, and the convergence study
+    that produced them, if any."""
 
     pms: PmsResult
     solution: EigenSolution
-    requested_levels: range
     convergence: ConvergenceStudy | None = None
 
-    def __post_init__(self):
-        solved = self.solved_levels
-        for n in (self.requested_levels.start, self.requested_levels.stop - 1):
-            if n not in solved:
-                raise ValueError(
-                    f"requested level {n} lies outside the solved levels "
-                    f"[{solved.start}, {solved.stop})"
-                )
-
     @property
-    def solved_levels(self) -> range:
+    def requested_levels(self) -> range:
         """Global indices of the levels the solution holds."""
-        first = self.solution.config.center + self.solution.offset
-        return range(first, first + len(self.solution.energies))
+        return self.solution.levels
 
     def energy(self, level: int) -> float:
         """Energy of the given global level index."""
-        solved = self.solved_levels
-        if level not in solved:
+        levels = self.solution.levels
+        if level not in levels:
             raise ValueError(
-                f"level {level} lies outside the solved levels [{solved.start}, {solved.stop})"
+                f"level {level} lies outside the solved levels [{levels.start}, {levels.stop})"
             )
-        return float(self.energies[level - solved.start])
+        return float(self.energies[level - levels.start])
 
     @property
     def energies(self) -> np.ndarray:
@@ -103,44 +89,24 @@ def block_levels(N: int, target_level: int | None = None) -> range:
     return range(center, center + N)
 
 
-def _solve(pot: PolynomialPotential, pms: PmsResult, block: range,
-           levels: range | None) -> SpectrumReport:
-    """Assemble at the PMS parameters and solve the requested levels (all if None)."""
-    cfg = BasisConfig(dim=len(block), omega=pms.omega, sigma=pms.sigma, center=block.start)
-    h = assemble_hamiltonian(pot, cfg)
-    if levels is None:
-        return SpectrumReport(pms=pms, solution=diagonalize(h), requested_levels=block)
-    sol = diagonalize(h, range(levels.start - block.start, levels.stop - block.start))
-    return SpectrumReport(pms=pms, solution=sol, requested_levels=levels)
-
-
 def solve_spectrum(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
-                   levels: range | None = None) -> SpectrumReport:
-    """PMS-optimized spectrum of the first N levels.
+                   levels: range | None = None,
+                   target_level: int | None = None) -> SpectrumReport:
+    """PMS-optimized spectrum of the N-dimensional block block_levels(N, target_level).
 
-    Runs the trace optimization, assembles the Hamiltonian at the optimal
-    (omega, sigma), and diagonalizes.  With levels (a range inside [0, N)),
-    only those energies are solved and no eigenvector is formed; without,
-    the whole block is solved with eigenvectors.
+    Runs the trace optimization on the block's own diagonal, assembles the
+    Hamiltonian at the optimal (omega, sigma), and diagonalizes.  With levels
+    (global indices inside the block), only those energies are solved and no
+    eigenvector is formed; without, the whole block is solved with
+    eigenvectors.  A block centered on target_level labels its level k as
+    center+k; the labelling is an approximation validated against uncentered
+    runs in tests, not assumed exact.
     """
-    pms = pms_optimize(pot, N, optimize_sigma=optimize_sigma)
-    return _solve(pot, pms, block_levels(N), levels)
-
-
-def solve_centered(pot: PolynomialPotential, target_level: int, N: int,
-                   levels: range | None = None) -> SpectrumReport:
-    """Spectrum of an N-dimensional block centered on a target level.
-
-    The block spans the global indices block_levels(N, target_level).  The
-    trace criterion is re-applied to this block's own diagonal.  Level k of
-    the block is labelled center+k; the labelling is an approximation
-    validated against uncentered runs in tests, not assumed exact.  levels
-    (global indices inside the block) selects which energies to solve, as in
-    solve_spectrum.
-    """
-    block = block_levels(N, target_level)
-    pms = pms_optimize(pot, N, center=block.start)
-    return _solve(pot, pms, block, levels)
+    center = block_levels(N, target_level).start
+    pms = pms_optimize(pot, N, optimize_sigma=optimize_sigma, center=center)
+    h = assemble_hamiltonian(pot, BasisConfig(dim=N, omega=pms.omega, sigma=pms.sigma,
+                                              center=center))
+    return SpectrumReport(pms=pms, solution=diagonalize(h, levels))
 
 
 def convergence_study(pot: PolynomialPotential, level_set, N_list,
@@ -179,8 +145,7 @@ def convergence_study(pot: PolynomialPotential, level_set, N_list,
             delta = abs(e - ref.energy(lvl))
             rows.append((n_dim, lvl, e, delta))
     study = ConvergenceStudy(n_ref=N_ref, rows=tuple(rows), pms_omegas=omegas)
-    return SpectrumReport(pms=ref.pms, solution=ref.solution,
-                          requested_levels=span, convergence=study)
+    return SpectrumReport(pms=ref.pms, solution=ref.solution, convergence=study)
 
 
 def write_levels_csv(path, report: SpectrumReport, levels: range | None = None):

@@ -113,7 +113,7 @@ def test_criterion_04_border_state_degradation():
 
 
 def test_criterion_05_centered_subspace_equivalence():
-    centered = v.solve_centered(QUARTIC, 100, 161)
+    centered = v.solve_spectrum(QUARTIC, 161, target_level=100)
     plain = v.solve_spectrum(QUARTIC, 300)
     a = centered.energy(100)
     b = float(plain.energies[100])

@@ -135,12 +135,12 @@ def test_selected_levels_match_the_whole_block():
     for degree in (2, 4, 6, 8):
         for _ in range(10):
             h = random_confining_block(rng, degree)
-            n = h.config.dim
+            n, c = h.config.dim, h.config.center
             full = diagonalize(h).energies
             a = int(rng.integers(0, n - 1))
             b = int(rng.integers(a + 1, n + 1))
-            sel = diagonalize(h, range(a, b))
-            assert sel.vectors is None and sel.offset == a
+            sel = diagonalize(h, range(c + a, c + b))
+            assert sel.vectors is None and sel.levels == range(c + a, c + b)
             want = full[a:b]
             # both solvers are normwise backward stable, so they may differ by
             # a few eps*||H|| (measured up to 2.1): at degree 8 that is 2e-11
@@ -181,7 +181,7 @@ def test_whole_block_energies_agree_with_and_without_vectors():
     for h in (wrap(random_symmetric(rng, 12)), assemble_hamiltonian(quartic, cfg)):
         n = h.config.dim
         whole = diagonalize(h, range(n))
-        assert whole.vectors is None and whole.offset == 0
+        assert whole.vectors is None and whole.levels == range(n)
         full = diagonalize(h).energies
         assert np.max(np.abs(whole.energies - full)) <= 4 * EPS * np.max(np.abs(full))
 
@@ -204,6 +204,19 @@ def test_whole_block_levels_match_30_digit_eigenvalues():
 def test_selected_levels_reject_bad_ranges():
     h = wrap(np.diag([3.0, -1.0, 2.0]))
     for bad in (range(0, 0), range(2, 4), range(-1, 2), range(0, 3, 2)):
+        with pytest.raises(ValueError):
+            diagonalize(h, bad)
+
+
+def test_levels_are_global_indices():
+    # a block whose basis starts at index 10 holds levels 10..14
+    cfg = BasisConfig(dim=5, omega=1.0, center=10)
+    h = HamiltonianMatrix(bands=np.array([[3.0, -1.0, 2.0, 5.0, 0.0]]), config=cfg)
+    assert diagonalize(h).levels == range(10, 15)
+    low = diagonalize(h, range(10, 13))
+    assert low.levels == range(10, 13) and low.vectors is None
+    np.testing.assert_allclose(low.energies, [-1.0, 0.0, 2.0], rtol=0.0, atol=1e-14)
+    for bad in (range(0, 3), range(9, 12), range(13, 16)):
         with pytest.raises(ValueError):
             diagonalize(h, bad)
 

@@ -19,7 +19,6 @@ from varosc import (
     observables_series,
     project_by_quadrature,
     project_shifted_gaussian,
-    solve_centered,
     solve_spectrum,
     wavefunction_at,
 )
@@ -224,7 +223,7 @@ def test_rotation_rejects_broken_orthonormality():
     from varosc.eigen import EigenSolution
 
     bad = EigenSolution(energies=sol.energies.copy(), vectors=bad_vectors,
-                        config=sol.config)
+                        config=sol.config, levels=sol.levels)
     c = np.zeros(10)
     c[0] = 1.0
     with pytest.raises(ValueError):
@@ -345,7 +344,7 @@ def lossy_shifted_basis_state():
 
 def centered_block_state():
     # levels 20..39 of a quartic in the block [20, 40), any unit vector in it
-    rep = solve_centered(from_quartic(1.0, 1.0), 30, 20)
+    rep = solve_spectrum(from_quartic(1.0, 1.0), 20, target_level=30)
     c = np.random.default_rng(83).normal(size=20)
     return make_evolution(c / np.linalg.norm(c), rep.solution)
 

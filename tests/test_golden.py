@@ -51,6 +51,8 @@ class Case(NamedTuple):
 CASES = (
     Case("asym_quartic_large", "spectrum", "asym_quartic_large.json"),
     Case("asym_quartic_small", "spectrum", "asym_quartic_small.json"),
+    Case("quartic_centered_levels245-255", "spectrum", "quartic_centered.json",
+         ("--levels", "245..255")),
     Case("quartic_convergence", "convergence", "quartic_convergence.json"),
     Case("quartic_g1000", "spectrum", "quartic_g1000.json"),
     Case("quartic_g1000_levels0-9", "spectrum", "quartic_g1000.json", ("--levels", "0..9")),

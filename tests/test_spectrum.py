@@ -12,7 +12,6 @@ from varosc import (
     diagonalize,
     from_double_well,
     from_quartic,
-    solve_centered,
     solve_spectrum,
 )
 from varosc.spectrum import write_convergence_csv, write_levels_csv
@@ -75,7 +74,7 @@ def test_double_well_eigenvectors_have_definite_parity():
 def test_centered_block_at_origin_matches_plain_solve():
     pot = from_quartic(1.0, 1000.0)
     plain = solve_spectrum(pot, 10)
-    centered = solve_centered(pot, 0, 10)
+    centered = solve_spectrum(pot, 10, target_level=0)
     assert centered.solution.config.center == 0
     np.testing.assert_allclose(centered.energies, plain.energies, rtol=1e-14)
     assert centered.pms.omega == pytest.approx(plain.pms.omega, rel=1e-12)
@@ -86,7 +85,7 @@ def test_single_element_center_is_variational_value():
     pot = from_quartic(1.0, 1000.0)
     full = solve_spectrum(pot, 60)
     for n in (0, 7):
-        rep = solve_centered(pot, n, 1)
+        rep = solve_spectrum(pot, 1, target_level=n)
 
         def diag(logw):
             cfg = BasisConfig(dim=1, omega=math.exp(logw), center=n)
@@ -97,7 +96,7 @@ def test_single_element_center_is_variational_value():
         # crude but already at the few-percent level
         assert rep.energies[0] == pytest.approx(float(full.energies[n]), rel=5e-2)
     # the Rayleigh quotient bounds the lowest level from above
-    e0_single = solve_centered(pot, 0, 1).energies[0]
+    e0_single = solve_spectrum(pot, 1, target_level=0).energies[0]
     assert e0_single >= full.energies[0] - 1e-10
 
 
@@ -105,7 +104,7 @@ def test_centered_block_reaches_high_level():
     # a 41-state window around level 30 carries lower-edge contamination at
     # the 1e-8 level; the acceptance suite exercises the deeper 161-state case
     pot = from_quartic(1.0, 1000.0)
-    rep = solve_centered(pot, 30, 41)
+    rep = solve_spectrum(pot, 41, target_level=30)
     assert rep.solution.config.center == 10
     assert rep.requested_levels == range(10, 51)
     ref = solve_spectrum(pot, 120)
@@ -115,11 +114,11 @@ def test_centered_block_reaches_high_level():
 
 def test_centered_selected_levels_match_full_block():
     pot = from_quartic(1.0, 1000.0)
-    full = solve_centered(pot, 60, 81)
-    sel = solve_centered(pot, 60, 81, levels=range(55, 66))
-    assert full.solved_levels == range(20, 101)
+    full = solve_spectrum(pot, 81, target_level=60)
+    sel = solve_spectrum(pot, 81, levels=range(55, 66), target_level=60)
+    assert full.requested_levels == range(20, 101)
     assert sel.solution.vectors is None
-    assert sel.requested_levels == sel.solved_levels == range(55, 66)
+    assert sel.requested_levels == range(55, 66)
     assert sel.pms == full.pms
     for n in range(55, 66):
         e = full.energy(n)
@@ -128,7 +127,7 @@ def test_centered_selected_levels_match_full_block():
         with pytest.raises(ValueError):
             sel.energy(outside)
     with pytest.raises(ValueError):
-        solve_centered(pot, 60, 81, levels=range(10, 30))  # below the block
+        solve_spectrum(pot, 81, levels=range(10, 30), target_level=60)  # below the block
 
 
 def test_selected_levels_match_plain_solve():
@@ -142,7 +141,7 @@ def test_selected_levels_match_plain_solve():
 
 def test_convergence_study_solves_only_the_level_span():
     rep = convergence_study(from_quartic(1.0, 1000.0), [4, 2], [10, 20], N_ref=40)
-    assert rep.requested_levels == rep.solved_levels == range(2, 5)
+    assert rep.requested_levels == range(2, 5)
     assert rep.solution.vectors is None
     plain = solve_spectrum(from_quartic(1.0, 1000.0), 40)
     for lvl in (2, 3, 4):
@@ -183,7 +182,7 @@ def test_convergence_default_reference():
 
 def test_report_rejects_levels_outside_block():
     pot = from_quartic(1.0, 1000.0)
-    rep = solve_centered(pot, 30, 21)
+    rep = solve_spectrum(pot, 21, target_level=30)
     with pytest.raises(ValueError):
         rep.energy(100)  # above the block
     with pytest.raises(IndexError):
