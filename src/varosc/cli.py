@@ -4,8 +4,9 @@ Subcommands: spectrum, trace-scan, evolve, convergence.  A config is one JSON
 document, checked whole against the table _COMMANDS before any work starts:
 an unknown key, a null, a wrong type or an out-of-range value is a config
 error, and no output directory is made.  Exit codes: 0 ok, 2 config error,
-3 numerical failure.  All floats are written with 17 significant digits so
-re-running a recipe is byte-identical.
+3 numerical failure.  CSV floats are written with 17 significant digits
+(varosc.output) and pms.json floats as their shortest repr; both round-trip
+exactly, so re-running a recipe is byte-identical.
 """
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ import numpy as np
 from . import evolve as ev
 from . import spectrum as sp
 from .eigen import DiagonalizationError
+from .output import write_csv
 from .pms import ConvergenceError, pms_optimize, trace_scan
 from .potential import PolynomialPotential, asym_demo, from_double_well, from_quartic
-
-_FMT = "{:.17g}"
 
 # caps far above every recipe and benchmark job (block 1600, 4001 times, 201 x
 # points) so no count alone exhausts memory; levels stay exact in float arithmetic
@@ -169,6 +169,8 @@ def _validate(command: str, cfg) -> dict:
         if not math.isfinite(scan["omegas"][-1]):
             raise ConfigError("scan.omega_max rounds to infinity on the logarithmic grid")
     if command == "convergence":
+        if len(set(solver["dims"])) < len(solver["dims"]):
+            raise ConfigError(f"config field 'solver.dims' repeats a dimension: {list(solver['dims'])}")
         solver["levels"] = _parse_levels(solver["levels"], 0, min(solver["dims"]))
         if solver["n_ref"] is not None and solver["n_ref"] < max(solver["dims"]):
             raise ConfigError("solver.n_ref must be at least every dimension in solver.dims")
@@ -252,12 +254,8 @@ def cmd_convergence(vals: dict, args) -> int:
                                   N_ref=solver["n_ref"], optimize_sigma=solver["optimize_sigma"])
     out = _outdir(vals, args)
     sp.write_convergence_csv(out / "convergence.csv", report.convergence)
-    omegas_path = out / "pms_omegas.csv"
-    lines = ["N,omega"] + [
-        f"{n},{_FMT.format(w)}" for n, w in sorted(report.convergence.pms_omegas.items())
-    ]
-    omegas_path.write_text("\n".join(lines) + "\n")
-    print(f"convergence: wrote {out/'convergence.csv'} and {omegas_path}")
+    write_csv(out / "pms_omegas.csv", "N,omega", *zip(*sorted(report.convergence.pms_omegas.items())))
+    print(f"convergence: wrote {out/'convergence.csv'} and {out/'pms_omegas.csv'}")
     return 0
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import roots_hermite
 
 from .eigen import EigenSolution
 from .oscbasis import BasisConfig, _hermite_rows, _power_bands, basis_functions
+from .output import FMT, write_csv
 
 __all__ = [
     "InitialGaussian",
@@ -44,8 +44,6 @@ _MODE_CUTOFF = 1e-14
 # and the amplitude arrays are at most N x _TIME_BLOCK complex however long the
 # time grid is
 _TIME_BLOCK = 256
-
-_FMT = "{:.17g}"
 
 
 class BasisResolutionError(RuntimeError):
@@ -286,25 +284,13 @@ def wavefunction_at(state: EvolutionState, x, t: float) -> complex | np.ndarray:
     return psi
 
 
-def _csv_rows(*columns) -> str:
-    """Equal-length float columns as %.17g CSV rows, in one format call."""
-    n = len(columns[0])
-    flat = [None] * (n * len(columns))
-    for j, col in enumerate(columns):
-        flat[j::len(columns)] = col
-    return ((",".join([_FMT] * len(columns)) + "\n") * n).format(*flat)
-
-
 def write_observables_csv(path, times, x_mean, x2_mean, truncation_loss: float):
     """Write (t, x_mean, x2_mean, sqrt_x2) with the truncation loss in a header."""
     x2_mean = np.asarray(x2_mean, dtype=float)
     # negative roundoff clamps to 0, as max(x2, 0.0) would (-0.0 stays -0.0)
     sqrt_x2 = np.sqrt(np.where(x2_mean < 0.0, 0.0, x2_mean))
-    Path(path).write_text(
-        f"# truncation_loss={_FMT.format(truncation_loss)}\nt,x_mean,x2_mean,sqrt_x2\n"
-        + _csv_rows(np.asarray(times, dtype=float).tolist(),
-                    np.asarray(x_mean, dtype=float).tolist(),
-                    x2_mean.tolist(), sqrt_x2.tolist()))
+    cols = [np.asarray(c, dtype=float).tolist() for c in (times, x_mean, x2_mean, sqrt_x2)]
+    write_csv(path, f"# truncation_loss={FMT.format(truncation_loss)}\nt,x_mean,x2_mean,sqrt_x2", *cols)
 
 
 def write_wavefunction_csv(path, xs, psi):
@@ -313,7 +299,5 @@ def write_wavefunction_csv(path, xs, psi):
     # abs(complex) is hypot, and float ** 2 is pow: np.abs and np.square round
     # differently in the last bit
     abs2 = [m ** 2 for m in np.hypot(psi.real, psi.imag).tolist()]
-    Path(path).write_text(
-        "x,re,im,abs2\n"
-        + _csv_rows(np.asarray(xs, dtype=float).tolist(), psi.real.tolist(),
-                    psi.imag.tolist(), abs2))
+    write_csv(path, "x,re,im,abs2", np.asarray(xs, dtype=float).tolist(), psi.real.tolist(),
+              psi.imag.tolist(), abs2)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .eigen import EigenSolution, diagonalize
 from .oscbasis import BasisConfig, assemble_hamiltonian
+from .output import write_csv
 from .pms import PmsResult, pms_optimize
 from .potential import PolynomialPotential
 
@@ -29,8 +29,6 @@ __all__ = [
     "write_convergence_csv",
     "write_trace_scan_csv",
 ]
-
-_FMT = "{:.17g}"
 
 
 @dataclass(frozen=True)
@@ -151,18 +149,13 @@ def convergence_study(pot: PolynomialPotential, level_set, N_list,
 def write_levels_csv(path, report: SpectrumReport, levels: range | None = None):
     """Write (n, E_n) rows; floats carry 17 significant digits."""
     levels = levels if levels is not None else report.requested_levels
-    lines = ["n,energy"]
-    for n in levels:
-        lines.append(f"{n},{_FMT.format(report.energy(n))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "n,energy", levels, [report.energy(n) for n in levels])
 
 
 def write_convergence_csv(path, study: ConvergenceStudy):
     """Write (N, n, delta) rows from a convergence study."""
-    lines = ["N,n,delta"]
-    for n_dim, lvl, _e, delta in study.rows:
-        lines.append(f"{n_dim},{lvl},{_FMT.format(delta)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    dims, lvls, _energies, deltas = zip(*study.rows)
+    write_csv(path, "N,n,delta", dims, lvls, deltas)
 
 
 def write_trace_scan_csv(path, dim: int, omegas: np.ndarray, values: np.ndarray,
@@ -172,10 +165,7 @@ def write_trace_scan_csv(path, dim: int, omegas: np.ndarray, values: np.ndarray,
     is_pms flags the grid point closest to the stationary frequency, when one
     was found inside the grid.
     """
-    mark = -1
+    is_pms = [0] * len(omegas)
     if omega_pms is not None:
-        mark = int(np.argmin(np.abs(np.asarray(omegas) - omega_pms)))
-    lines = [f"# dim={dim}", "omega,trace_over_n,is_pms"]
-    for i, (w, v) in enumerate(zip(omegas, values)):
-        lines.append(f"{_FMT.format(w)},{_FMT.format(v)},{1 if i == mark else 0}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        is_pms[int(np.argmin(np.abs(omegas - omega_pms)))] = 1
+    write_csv(path, f"# dim={dim}\nomega,trace_over_n,is_pms", omegas.tolist(), values.tolist(), is_pms)

@@ -51,18 +51,29 @@ def test_asym_recipes_reproduce_benchmark_parameters(tmp_path):
     assert float(lines[1].split(",")[1]) == pytest.approx(-1229.1160510460046, rel=1e-12)
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = {
-        "potential": {"kind": "quartic", "m2": 1.0, "g": 1000.0},
-        "solver": {"dim": 30},
-    }
+@pytest.mark.parametrize("command, cfg, files", [
+    ("spectrum", {"potential": {"kind": "quartic", "m2": 1.0, "g": 1000.0}, "solver": {"dim": 30}},
+     ["levels.csv", "pms.json"]),
+    ("trace-scan", {"potential": {"kind": "asym_demo"}, "solver": {"dims": [6, 10]},
+                    "scan": {"omega_min": 1.0, "omega_max": 100.0, "points": 31}},
+     ["trace_scan_n10.csv", "trace_scan_n6.csv"]),
+    ("convergence", {"potential": {"kind": "asym_demo"},
+                     "solver": {"dims": [8, 12], "levels": "0..3", "optimize_sigma": True}},
+     ["convergence.csv", "pms_omegas.csv"]),
+    ("evolve", {"potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
+                "solver": {"dim": 30},
+                "evolution": {"initial": "shifted", "x0": 1.0, "width": 0.5, "t_max": 2.0,
+                              "t_step": 0.25, "snapshot_times": [0.0, 1.5], "x_points": 21}},
+     ["observables.csv", "wavefunction_t0.csv", "wavefunction_t1.5.csv"]),
+])
+def test_rerun_is_byte_identical(tmp_path, command, cfg, files):
     path = write_config(tmp_path, cfg)
     for sub in ("r1", "r2"):
-        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / sub)]) == 0
-    assert (tmp_path / "r1" / "levels.csv").read_bytes() == \
-           (tmp_path / "r2" / "levels.csv").read_bytes()
-    assert (tmp_path / "r1" / "pms.json").read_bytes() == \
-           (tmp_path / "r2" / "pms.json").read_bytes()
+        assert main([command, "--config", str(path), "--out", str(tmp_path / sub)]) == 0
+    for sub in ("r1", "r2"):
+        assert sorted(p.name for p in (tmp_path / sub).iterdir()) == files
+    for name in files:
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
 def test_levels_flag_selects_range(tmp_path):
@@ -256,6 +267,8 @@ def test_empty_lists_are_config_errors(tmp_path, capsys, command, cfg):
      "evolution.snapshot_times"),
     ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": [4, 6, 4]}, "scan": _SCAN},
      "solver.dims"),
+    # a repeated dimension would be solved and written twice
+    ("convergence", {"potential": _QUARTIC, "solver": {"dims": [4, 6, 4]}}, "solver.dims"),
 ])
 def test_unread_blocks_and_keys_are_named_config_errors(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, cfg)
