@@ -185,6 +185,10 @@ def _validate(command: str, cfg) -> dict:
             raise ConfigError("centered initial state must have x0 = 0")
         if not evo["t_max"] / evo["t_step"] < _MAX_STEPS:
             raise ConfigError(f"evolution.t_max / evolution.t_step must be < {_MAX_STEPS}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            evo["xs"] = np.linspace(evo["x_min"], evo["x_max"], evo["x_points"])
+        if not np.all(np.isfinite(evo["xs"])):
+            raise ConfigError("evolution.x_min to evolution.x_max overflows the snapshot grid")
     return vals
 
 
@@ -262,7 +266,7 @@ def cmd_convergence(vals: dict, args) -> int:
 def cmd_evolve(vals: dict, args) -> int:
     evo, solver = vals["evolution"], vals["solver"]
     t_max, t_step, widths = evo["t_max"], evo["t_step"], evo["widths"]
-    xs = np.linspace(evo["x_min"], evo["x_max"], evo["x_points"])
+    xs = evo["xs"]
     times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
     report = sp.solve_spectrum(vals["potential"], solver["dim"],
                                optimize_sigma=solver["optimize_sigma"])

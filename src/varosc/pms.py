@@ -10,9 +10,9 @@ which is cheap (diagonal elements only) and invariant under unitary changes
 of basis.  T is a closed form in omega and sigma, so its derivatives are
 exact too: at sigma = 0 the stationary frequencies are the roots of one
 polynomial, and every candidate is polished by Newton on the exact gradient
-and Hessian, with no finite differences.  Among stationary points we target
-minima and, when several candidates survive, the one with the smallest trace
-(then smallest omega) is returned so results are reproducible.
+and Hessian, with no finite differences.  Only minima count, and when
+several survive, the one with the smallest trace (then smallest omega) is
+returned so results are reproducible.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ class PmsResult:
 def _block_trace(omega, pot: PolynomialPotential, sigma: float, dim: int, center: int):
     """T = (omega/4) N (N + 2c) + kappa_0 N + sum_{h>=1} kappa_2h D_2h omega^(-h),
     for omega a float or an array, kappa the coefficients of V(x + sigma)."""
-    kappas = _shifted_coeffs(pot.coeffs, sigma, 2) if sigma != 0.0 else pot.coeffs[::2]
+    kappas = _shifted_coeffs(pot.coeffs, sigma)[::2]
     total = 0.25 * omega * (dim * (dim + 2 * center)) + kappas[0] * dim
     for h, d in enumerate(_block_moments(dim, center, pot.degree), 1):
         if kappas[h] != 0.0:
@@ -122,7 +122,8 @@ def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free
     """Newton on the exact gradient in the first `free` entries of z.
 
     Stops when a step no longer lowers the gradient norm, which is where
-    rounding in the gradient sets in.  Returns z and that norm.
+    rounding in the gradient sets in.  Returns z, that norm and the Hessian
+    in the free entries at z.
     """
     g, hess = _gradient_hessian(pot, dim, center, z)
     for _ in range(steps):
@@ -135,7 +136,7 @@ def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free
         if not np.linalg.norm(g_new[:free]) < np.linalg.norm(g[:free]):
             break
         z, g, hess = z_new, g_new, hess_new
-    return z, float(np.linalg.norm(g[:free]))
+    return z, float(np.linalg.norm(g[:free])), hess[:free, :free]
 
 
 def _largest_turning_point(pot: PolynomialPotential) -> float:
@@ -157,16 +158,21 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
 
         (K/4) omega^(H+1) - sum_{h=1..H} h kappa_2h D_2h omega^(H-h),   K = N (N + 2c),
 
-    which np.roots gives all at once.  The real roots where d^2T/domega^2 > 0
-    are polished by Newton on the exact derivative in log(omega), and the
-    lowest-trace minimum wins, ties broken by lower omega.
+    which np.roots gives all at once; each real one is polished by Newton on
+    the exact derivative in log(omega).
 
     With optimize_sigma, a 5x5 multistart grid over
     omega in [omega*/10, 10 omega*] (omega* from the sigma = 0 solve) and
     sigma in [-x_range, x_range] (x_range = largest turning point of V) seeds
-    Nelder-Mead in (log omega, sigma); every converged candidate is polished
-    by Newton on the exact gradient and Hessian, and the lowest-trace
-    stationary point wins, ties broken by lower omega.
+    Nelder-Mead in (log omega, sigma), which stops when T, in units of
+    max(1, |T|) at omega*, changes by less than 1e-8; every end point is
+    polished by Newton on the exact gradient and Hessian.
+
+    One rule picks the result in both searches: a candidate must pass the
+    residual gate and have a positive definite Hessian in the free
+    variables; the lowest trace wins, then the lowest omega.  When every odd
+    coefficient of V is zero, T is even in sigma and |sigma| is reported, so
+    mirror images tie exactly.
 
     stationarity_residual is the norm of the exact gradient of T in log(omega)
     (and sigma) at the result.  A nonzero center optimizes the trace of the
@@ -174,35 +180,37 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     """
     if N < 1:
         raise ValueError(f"block dimension must be >= 1, got {N}")
+    even = not any(pot.coeffs[1::2])
 
     def lowest_stationary(starts, free):
-        """(trace, omega, sigma, residual) of the lowest-trace point, then lowest
-        omega, that Newton from one of starts makes stationary; None if none."""
+        """(trace, omega, sigma, residual) of the lowest-trace minimum, then lowest
+        omega, that Newton reaches from one of starts; None if none."""
         found = []
         for z0 in starts:
-            z, resid = _newton(pot, N, center, z0, free)
-            omega, sigma = math.exp(z[0]), float(z[1])
-            t_val = trace(pot, BasisConfig(dim=N, omega=omega, sigma=sigma, center=center))
-            if resid <= _RESIDUAL_REL * max(abs(t_val), 1.0):
+            z, resid, hess = _newton(pot, N, center, z0, free)
+            omega, sigma = math.exp(z[0]), float(abs(z[1]) if even else z[1])
+            t_val = _block_trace(omega, pot, sigma, N, center)
+            # Sylvester's criterion, enough for one or two free variables
+            if (resid <= _RESIDUAL_REL * max(abs(t_val), 1.0)
+                    and hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
                 found.append((t_val, omega, sigma, resid))
         return min(found, key=lambda c: c[:2], default=None)
 
     # omega^(H+1) dT/domega at sigma = 0, highest power first
-    poly = np.array([0.25 * N * (N + 2 * center), 0.0]
-                    + [-h * pot.coeffs[2 * h] * d
-                       for h, d in enumerate(_block_moments(N, center, pot.degree), 1)])
-    curvature = np.polyder(poly)
+    poly = [0.25 * N * (N + 2 * center), 0.0] + [
+        -h * pot.coeffs[2 * h] * d for h, d in enumerate(_block_moments(N, center, pot.degree), 1)]
     # np.roots returns real roots with an imaginary part of exactly zero
     best = lowest_stationary([np.array([math.log(r.real), 0.0]) for r in np.roots(poly)
-                              if r.imag == 0.0 and r.real > 0.0
-                              and np.polyval(curvature, r.real) > 0.0], 1)
+                              if r.imag == 0.0 and r.real > 0.0], 1)
     if best is None:
         raise ConvergenceError("Newton reached no minimum of the trace over omega > 0")
 
     if optimize_sigma:
+        scale = max(1.0, abs(best[0]))
+
         def f2(z):
             return trace(pot, BasisConfig(dim=N, omega=math.exp(z[0]), sigma=z[1],
-                                          center=center))
+                                          center=center)) / scale
 
         omega_star = best[1]
         x_range = _largest_turning_point(pot)

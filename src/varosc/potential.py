@@ -6,7 +6,6 @@ upward; degrees stay small (<= ~12) so sparsity buys nothing.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,30 +19,17 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_plan(coeffs: tuple[float, ...], stride: int):
-    """Per output i = 0, stride, ...: pairs (kappa_j C(j, i), j - i), j >= i upward."""
-    return tuple(tuple((kj * math.comb(j, i), j - i) for j, kj in enumerate(coeffs)
-                       if j >= i and kj != 0.0)
-                 for i in range(0, len(coeffs), stride))
+def _shifted_coeffs(coeffs: tuple[float, ...], sigma: float) -> list[float]:
+    """Coefficients kappa'_i of V(x + sigma), i = 0 .. deg V, on plain floats.
 
-
-def _shifted_coeffs(coeffs: tuple[float, ...], sigma: float, stride: int = 1) -> list[float]:
-    """Coefficients kappa'_i of V(x + sigma) for i = 0, stride, 2 stride, ...
-
-    Binomial expansion on plain floats, kappa'_i = sum_{j>=i} kappa_j
-    C(j, i) sigma^(j-i), accumulated over j upward; the products
-    kappa_j C(j, i) are planned once per potential.  stride=2 gives only the
-    even powers, the ones a diagonal element sees.
+    Taylor shift: deg V rounds of synthetic division by (x - sigma), each
+    round a Horner pass that fixes one more coefficient from the bottom up.
     """
-    powers = [sigma**k for k in range(len(coeffs))]
-    out = []
-    for row in _shift_plan(coeffs, stride):
-        acc = 0.0
-        for c, k in row:
-            acc += c * powers[k]
-        out.append(acc)
-    return out
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += sigma * c[j + 1]
+    return c
 
 
 @dataclass(frozen=True)

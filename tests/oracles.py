@@ -17,16 +17,19 @@ at 30 digits with mpmath.  split_operator_moments propagates a wave function
 on an FFT grid, with no basis or eigenpairs.  eigenbasis_position_power
 rotates the dense x^p into the eigenbasis, for the reference sums over
 pairs of eigenstates that the evolution kernel itself never forms.
+dvr_levels is the benchmark's sinc-DVR spectrum, which shares no code with
+the package.
 """
 import functools
+import importlib.util
 import math
 from collections import defaultdict
 from fractions import Fraction
 from math import lgamma
+from pathlib import Path
 
 import mpmath
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite, gammaln, roots_hermite
 
 from varosc import basis_functions
@@ -164,21 +167,18 @@ def literal_shifted_coeffs(width: float, x0: float, omega: float, dim: int) -> n
     return c
 
 
-def fd_lowest_levels(potential, lo: float, hi: float, h: float,
-                     count: int = 2) -> np.ndarray:
-    """Lowest `count` eigenvalues of -1/2 d^2/dx^2 + V by finite differences.
+def dvr_levels(coeffs, nlev: int) -> np.ndarray:
+    """Lowest nlev eigenvalues of p^2/2 + V by the benchmark's sinc-DVR.
 
-    Three-point stencil on the interior nodes of [lo, hi] (Dirichlet walls),
-    solved as a symmetric tridiagonal problem.  `potential` maps a numpy
-    array of positions to V(x).  The stencil error in each eigenvalue is
-    O(h^2), so halving h cuts it by four; the window must be wide enough
-    that the walls do not touch the states.
+    perfbench/checks.py::reference_levels, loaded by file path (perfbench is
+    not a package on the path): a numpy-only grid diagonalization, refined
+    until two grids agree to 1e-12 relative.
     """
-    x = np.arange(lo, hi + 0.5 * h, h)[1:-1]
-    diag = 1.0 / h**2 + np.asarray(potential(x), dtype=float)
-    off = np.full(len(x) - 1, -0.5 / h**2)
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(0, count - 1))
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.reference_levels(coeffs, nlev)
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 300):

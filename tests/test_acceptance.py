@@ -18,8 +18,8 @@ from varosc.evolve import (
 )
 
 from oracles import (
+    dvr_levels,
     eigenbasis_position_power,
-    fd_lowest_levels,
     gh_position_block,
     position_power_closed_form,
     position_power_matrix,
@@ -275,22 +275,13 @@ def test_criterion_11_shifted_frequency_trend(dwell_solutions):
     note("c11", "truncation losses at 80 states: "
                 + ", ".join(f"{loss:.1e}" for loss in losses))
 
-    # independent splitting: three-point finite differences on a wide grid
-    # (the dropped constant lam*a^4/24 shifts both levels alike)
-    def well(x):
-        return 0.01 * (x * x - 25.0) ** 2 / 24.0
-
-    fd_h = float(np.diff(fd_lowest_levels(well, -30.0, 30.0, 0.01))[0])
-    fd_2h = float(np.diff(fd_lowest_levels(well, -30.0, 30.0, 0.02))[0])
-    # the stencil error is C h^2, so fd_2h - fd_h = 3 C h^2 estimates the
-    # error left at h; allow twice that for the O(h^4) remainder
-    fd_err = abs(fd_2h - fd_h) / 3.0
-    note("c11", f"finite-difference splitting at h = 0.01: {fd_h:.10f} "
-                f"(rel dev {abs(gap - fd_h) / gap:.1e}, h^2 error estimate "
-                f"{fd_err:.1e})")
-    assert abs(gap - fd_h) <= 2.0 * fd_err, (
-        f"splitting {gap:.10f} is off the finite-difference value {fd_h:.10f} "
-        f"by more than twice its h^2 error estimate {fd_err:.1e}"
+    # independent splitting: the sinc-DVR of the same well, refined to 1e-12
+    dvr_gap = float(np.diff(dvr_levels(DWELL.coeffs, 2))[0])
+    dvr_dev = abs(gap - dvr_gap) / dvr_gap
+    note("c11", f"sinc-DVR splitting: {dvr_gap:.13f} (rel dev {dvr_dev:.1e} at 80 states)")
+    assert dvr_dev <= 1e-10, (
+        f"splitting {gap:.13f} is off the sinc-DVR value {dvr_gap:.13f} by "
+        f"{dvr_dev:.1e} relative, more than 1e-10"
     )
     assert all(pair == (0, 1) for pair, _ in lines), (
         f"the strongest exact line of <x> is not the ground doublet (0, 1) for "

@@ -181,6 +181,8 @@ _EVOLVE_CFG = {
     ("evolution", {"x_max": math.nan}),
     ("evolution", {"t_max": 1e9, "t_step": 1e-9}),  # 1e18 time points
     ("scan", {"omega_max": 1.7976931348623157e308}),  # top grid point rounds to inf
+    # the snapshot grid's span overflows, so linspace gives nan positions
+    ("evolution", {"x_min": -1e308, "x_max": 1e308, "x_points": 3, "snapshot_times": [0]}),
 ])
 def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
     command, cfg = ("trace-scan", _SCAN_CFG) if block == "scan" else ("evolve", _EVOLVE_CFG)
@@ -326,6 +328,25 @@ def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     })
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, name", [
+    # T ~ kappa_4 D_4 / omega^2 overflows at omega = 1e-300
+    ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": [8]},
+                    "scan": {"omega_min": 1e-300, "omega_max": 1e300, "points": 11}},
+     "trace_scan_n8.csv"),
+    # e^(-iEt) is nan at t ~ 1e308
+    ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"],
+                                             "t_max": 1.7976e308, "t_step": 1e304}},
+     "observables.csv"),
+])
+def test_non_finite_output_is_numerical_failure(tmp_path, capsys, command, cfg, name):
+    path = write_config(tmp_path, cfg)
+    with pytest.warns(RuntimeWarning):
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "o" / name).exists()
 
 
 def test_stiff_quartic_spectrum_is_solved(tmp_path):

@@ -11,9 +11,11 @@ from varosc import (
     from_double_well,
     from_quartic,
     pms_optimize,
+    solve_spectrum,
     trace,
     trace_scan,
 )
+from varosc import pms
 
 from oracles import (
     ClosedFormBranchError,
@@ -207,6 +209,60 @@ def test_symmetric_potentials_keep_zero_shift():
     for pot in (from_quartic(1.0, 1000.0), from_double_well(0.01, 5.0)):
         res = pms_optimize(pot, 10, optimize_sigma=True)
         assert abs(res.sigma) <= 1e-6
+
+
+@pytest.mark.parametrize("lam, sigma", [(1.0, 4.3413786608294895), (10.0, 4.825665065221513)])
+def test_even_potential_reports_positive_shift(lam, sigma):
+    # a deep double well: the two mirror-image minima at +-sigma have the same
+    # trace to the last bit, and the positive one is reported
+    res = pms_optimize(from_double_well(lam, 5.0), 10, optimize_sigma=True)
+    assert res.sigma == pytest.approx(sigma, rel=1e-14)
+
+
+def test_lowest_trace_minimum_wins_over_maximum_and_higher_minimum():
+    # V = 40x^2 - 30x^4 + 4x^6 at N = 2: T is stationary at omega ~ 6.5588
+    # (minimum), 2.9096 (maximum) and 0.90892 (minimum, the lower trace)
+    pot = PolynomialPotential((0.0, 0.0, 40.0, 0.0, -30.0, 0.0, 4.0))
+    res = pms_optimize(pot, 2)
+    assert res.omega == pytest.approx(0.9089195715346063, rel=1e-14)
+    traces = [trace(pot, BasisConfig(dim=2, omega=w)) for w in (0.90892, 2.9096, 6.5588)]
+    assert traces[0] < traces[2] < traces[1]
+
+
+def _reflected(pot):
+    return PolynomialPotential(tuple(c * (-1) ** j for j, c in enumerate(pot.coeffs)))
+
+
+@pytest.mark.parametrize("N", [11, 21, 41])
+def test_reflection_negates_shift(N):
+    # V(x) -> V(-x) mirrors the whole problem: omega and the levels stay, sigma flips
+    rng = np.random.default_rng(3)
+    pots = [asym_demo()] + [
+        PolynomialPotential((*rng.uniform([-10, -50, -40, -20], [10, 50, 20, 20]).tolist(),
+                             float(rng.uniform(1.0, 20.0)))) for _ in range(30)]
+    worst_w = worst_s = worst_e = 0.0
+    for pot in pots:
+        a = solve_spectrum(pot, N, optimize_sigma=True, levels=range(5))
+        b = solve_spectrum(_reflected(pot), N, optimize_sigma=True, levels=range(5))
+        worst_w = max(worst_w, abs(a.pms.omega - b.pms.omega) / a.pms.omega)
+        worst_s = max(worst_s, abs(a.pms.sigma + b.pms.sigma))
+        worst_e = max(worst_e, float(np.max(np.abs(a.energies - b.energies)
+                                            / np.maximum(1.0, np.abs(a.energies)))))
+    print(f"N = {N}: omega {worst_w:.1e} relative, sigma {worst_s:.1e}, "
+          f"levels 0-4 {worst_e:.1e} of max(1, |E|)")
+    assert worst_w <= 1e-14 and worst_s <= 1e-14
+    assert worst_e <= 1e-13
+
+
+def test_extreme_double_well_simplex_stops_on_relative_change(monkeypatch):
+    # lambda = 1e20 puts T near -1e20; an absolute 1e-8 stop on T took ~81,000
+    # trace calls here, a relative one takes a few thousand
+    calls = []
+    inner = pms.trace
+    monkeypatch.setattr(pms, "trace", lambda *args: calls.append(1) or inner(*args))
+    res = pms_optimize(from_double_well(1e20, 5.0), 20, optimize_sigma=True)
+    assert len(calls) < 10_000
+    assert res.sigma == pytest.approx(5.0, rel=1e-8)
 
 
 def test_asymmetric_quartic_benchmark_small_block():

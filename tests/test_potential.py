@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from varosc import PolynomialPotential, asym_demo, from_double_well, from_quartic
+from varosc.potential import _shifted_coeffs
 
 
 def test_quartic_constructor():
@@ -96,6 +98,25 @@ def test_shift_quadratic_binomial():
 def test_shift_pure_quartic_by_one():
     pot = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 1.0))
     assert pot.shift(1.0).coeffs == pytest.approx((1.0, 4.0, 6.0, 4.0, 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+def test_taylor_shift_matches_exact_expansion(degree):
+    # kappa'_i = sum_{j>=i} kappa_j C(j, i) sigma^(j-i) in exact rationals, held
+    # to 1e-15 of the sum of the terms' magnitudes
+    rng = np.random.default_rng(degree)
+    worst = 0.0
+    for _ in range(200):
+        coeffs = (*rng.normal(scale=10.0, size=degree).tolist(), float(rng.uniform(0.1, 20.0)))
+        sigma = float(rng.uniform(-6.0, 6.0))
+        got = _shifted_coeffs(coeffs, sigma)
+        for i in range(degree + 1):
+            terms = [(kj, math.comb(j, i), j - i) for j, kj in enumerate(coeffs) if j >= i]
+            exact = sum(Fraction(kj) * c * Fraction(sigma) ** k for kj, c, k in terms)
+            scale = sum(abs(kj) * c * abs(sigma) ** k for kj, c, k in terms)
+            worst = max(worst, float(abs(Fraction(got[i]) - exact)) / scale)
+    print(f"worst Taylor-shift error, degree {degree}: {worst:.1e} of the term scale")
+    assert worst <= 1e-15
 
 
 def test_shift_roundtrip_recovers_coefficients():
