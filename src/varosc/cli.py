@@ -11,6 +11,7 @@ exactly, so re-running a recipe is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,8 +28,9 @@ from .pms import ConvergenceError, pms_optimize, trace_scan
 from .potential import PolynomialPotential, asym_demo, from_double_well, from_quartic
 
 # caps far above every recipe and benchmark job (block 1600, 4001 times, 201 x
-# points) so no count alone exhausts memory; levels stay exact in float arithmetic
-_MAX_DIM, _MAX_POINTS, _MAX_STEPS, _MAX_LEVEL = 5000, 10_001, 1_000_000, 2**52
+# points, t_max 1000) so no count alone exhausts memory; levels stay exact in
+# float arithmetic, and the phases E t stay finite for every |E| below 1e296
+_MAX_DIM, _MAX_POINTS, _MAX_STEPS, _MAX_LEVEL, _MAX_TIME = 5000, 10_001, 1_000_000, 2**52, 1e12
 
 
 class ConfigError(ValueError):
@@ -311,7 +313,7 @@ _COMMANDS = {
             "initial": _Field("string", required=True, choices=("centered", "shifted")),
             "x0": _Field("number", default=0.0),
             "width": _Field("number", gt=0.0), "widths": _Field("number", gt=0.0, many=True),
-            "t_max": _Field("number", required=True, ge=0.0),
+            "t_max": _Field("number", required=True, ge=0.0, le=_MAX_TIME),
             "t_step": _Field("number", required=True, gt=0.0),
             "quadrature": _FLAG,
             "snapshot_times": _Field("number", default=(), many=True, empty_ok=True),
@@ -322,7 +324,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="varosc",
         description="Variational oscillator-basis solver: spectra, trace scans, "
@@ -335,7 +339,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory (overrides output.dir)")
         if name == "spectrum":
             p.add_argument("--levels", help="level range a..b for levels.csv")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = json.loads(Path(args.config).read_text())

@@ -183,6 +183,8 @@ _EVOLVE_CFG = {
     ("scan", {"omega_max": 1.7976931348623157e308}),  # top grid point rounds to inf
     # the snapshot grid's span overflows, so linspace gives nan positions
     ("evolution", {"x_min": -1e308, "x_max": 1e308, "x_points": 3, "snapshot_times": [0]}),
+    # 1.8e4 steps, but e^(-iEt) would be nan at t ~ 1e308: t_max is capped
+    ("evolution", {"t_max": 1.7976e308, "t_step": 1e304}),
 ])
 def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
     command, cfg = ("trace-scan", _SCAN_CFG) if block == "scan" else ("evolve", _EVOLVE_CFG)
@@ -335,10 +337,6 @@ def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": [8]},
                     "scan": {"omega_min": 1e-300, "omega_max": 1e300, "points": 11}},
      "trace_scan_n8.csv"),
-    # e^(-iEt) is nan at t ~ 1e308
-    ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"],
-                                             "t_max": 1.7976e308, "t_step": 1e304}},
-     "observables.csv"),
 ])
 def test_non_finite_output_is_numerical_failure(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, cfg)
@@ -491,6 +489,24 @@ def test_null_number_fields_are_config_errors(tmp_path, capsys, command, cfg, fi
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_arguments_exit_alike_on_every_call(capsys):
+    # the parser is built once per process and reused by every later call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--levels", "0..3"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+
+def test_t_max_cap_names_the_field(tmp_path, capsys):
+    cfg = json.loads(json.dumps(_EVOLVE_CFG))
+    cfg["evolution"].update(t_max=1e13, t_step=1e8)  # 1e5 steps, under the step cap
+    path = write_config(tmp_path, cfg)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "evolution.t_max" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

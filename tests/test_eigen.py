@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
+import varosc.eigen
 from varosc import (
     BasisConfig,
     PolynomialPotential,
@@ -15,7 +17,7 @@ from varosc import (
 )
 from varosc.oscbasis import HamiltonianMatrix
 
-from oracles import block_levels_mp, lower_bands
+from oracles import block_levels_mp, dense, lower_bands
 
 
 def wrap(matrix):
@@ -235,3 +237,88 @@ def test_levels_path_never_densifies():
             tracemalloc.stop()
         assert sol.energies.shape == (len(levels),)
         assert peak < 1e6, (levels, peak)
+
+
+# ------------------------------------------------------------- parity sectors
+
+QUARTIC_G1000, SLOW_ROLL = from_quartic(1.0, 1000.0), from_double_well(0.01, 5.0)
+
+
+def even_blocks():
+    """Blocks of two even potentials at sigma = 0, every odd band exactly 0."""
+    for pot in (QUARTIC_G1000, SLOW_ROLL):
+        omega = pms_optimize(pot, 40).omega
+        for dim in (1, 2, 3, 40, 41):
+            for center in (0, 1):
+                h = assemble_hamiltonian(pot, BasisConfig(dim=dim, omega=omega, center=center))
+                assert not h.bands[1::2].any()
+                yield h
+
+
+def test_parity_sectors_match_30_digit_eigenvalues():
+    for h in even_blocks():
+        c, n = h.config.center, h.config.dim
+        want = block_levels_mp(h.bands)
+        for levels in (None, range(c, c + n), range(c, c + min(n, 10))):
+            sol = diagonalize(h, levels)
+            got = want[:len(sol.energies)]
+            err = np.max(np.abs(sol.energies - got) / np.maximum(1.0, np.abs(got)))
+            assert err <= 2e-15, (n, c, levels, err)
+
+
+def test_parity_sector_vectors_are_orthonormal_eigenvectors_of_one_parity():
+    for h in even_blocks():
+        sol = diagonalize(h)
+        full = dense(h)
+        norm = np.linalg.norm(full, 2)
+        n = h.config.dim
+        assert np.max(np.abs(sol.vectors @ sol.vectors.T - np.eye(n))) <= 1e-13
+        for e, v in zip(sol.energies, sol.vectors):
+            assert not v[0::2].any() or not v[1::2].any()
+            assert np.linalg.norm(full @ v - e * v) <= 1e-13 * norm
+
+
+def count_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig_banded(*args, **kwargs)
+
+    monkeypatch.setattr(varosc.eigen, "eig_banded", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pot, sigma, target, levels, solves", [
+    (QUARTIC_G1000, 0.0, None, None, 2),
+    (QUARTIC_G1000, 0.0, None, range(0, 10), 2),
+    (SLOW_ROLL, 0.0, None, range(0, 60), 2),
+    (SLOW_ROLL, 0.0, None, range(5, 10), 1),  # mid-block
+    (SLOW_ROLL, 0.3, None, None, 1),
+    (asym_demo(), 0.0, None, None, 1),
+    (QUARTIC_G1000, 0.0, 40, range(36, 46), 1),  # centered on level 40, mid-block
+])
+def test_parity_split_only_from_the_lowest_level_of_an_even_block(monkeypatch, pot, sigma,
+                                                                  target, levels, solves):
+    center = 0 if target is None else target - 30
+    h = assemble_hamiltonian(pot, BasisConfig(dim=60, omega=2.0, sigma=sigma, center=center))
+    calls = count_solves(monkeypatch)
+    sol = diagonalize(h, levels)
+    assert len(calls) == solves
+    assert len(sol.energies) == (60 if levels is None else len(levels))
+
+
+def test_sub_roundoff_doublets_come_back_ascending():
+    # lambda = 1, a = 6: the lowest doublet is split by less than roundoff.
+    # The ten lowest levels, the doublets, are compared with one unsplit
+    # solve; high in the spectrum the split and unsplit whole-block solves
+    # part by up to 16 eps*||H|| (measured), as two tridiagonal solvers may
+    pot = from_double_well(1.0, 6.0)
+    h = assemble_hamiltonian(pot, BasisConfig(dim=400, omega=pms_optimize(pot, 400).omega))
+    unsplit = eig_banded(h.bands, lower=True, eigvals_only=True)
+    assert unsplit[1] - unsplit[0] < 1e-12
+    tol = 4 * EPS * np.max(np.abs(unsplit))
+    for levels in (None, range(0, 10), range(400)):
+        got = diagonalize(h, levels).energies
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got[:10] - unsplit[:10])) <= tol
