@@ -29,7 +29,8 @@ from .potential import PolynomialPotential, asym_demo, from_double_well, from_qu
 
 # caps far above every recipe and benchmark job (block 1600, 4001 times, 201 x
 # points, t_max 1000) so no count alone exhausts memory; levels stay exact in
-# float arithmetic, and the phases E t stay finite for every |E| below 1e296
+# float arithmetic, and |t| <= _MAX_TIME keeps the phases E t finite for every
+# |E| below 1e296 (cmd_evolve checks the solved energies against the times)
 _MAX_DIM, _MAX_POINTS, _MAX_STEPS, _MAX_LEVEL, _MAX_TIME = 5000, 10_001, 1_000_000, 2**52, 1e12
 
 
@@ -272,6 +273,13 @@ def cmd_evolve(vals: dict, args) -> int:
     times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
     report = sp.solve_spectrum(vals["potential"], solver["dim"],
                                optimize_sigma=solver["optimize_sigma"])
+    # the phases e^(-iEt) take absolute energies, which a huge constant term in
+    # V lifts past what the time caps allow for
+    e_max = float(np.max(np.abs(report.solution.energies)))
+    t_far = max([t_max, *map(abs, evo["snapshot_times"].values())])
+    if not math.isfinite(e_max * t_far):
+        raise ConfigError(f"evolution.t_max: the phases E·t overflow, with max|E| = {e_max:g} "
+                          f"and times up to {t_far:g}")
     basis = report.solution.config
     out = _outdir(vals, args)
     project = ev.project_by_quadrature if evo["quadrature"] else ev.project_shifted_gaussian
@@ -316,7 +324,8 @@ _COMMANDS = {
             "t_max": _Field("number", required=True, ge=0.0, le=_MAX_TIME),
             "t_step": _Field("number", required=True, gt=0.0),
             "quadrature": _FLAG,
-            "snapshot_times": _Field("number", default=(), many=True, empty_ok=True),
+            "snapshot_times": _Field("number", default=(), many=True, empty_ok=True,
+                                     ge=-_MAX_TIME, le=_MAX_TIME),
             "x_min": _Field("number", default=-10.0), "x_max": _Field("number", default=10.0),
             "x_points": _Field("integer", default=201, ge=1, le=_MAX_POINTS),
         },

@@ -5,9 +5,9 @@ recurrence for a Gaussian at any x0 in any uncentered basis, shifted or not,
 Gauss-Hermite quadrature for anything else), rotated into the energy
 eigenbasis, and evolved by attaching phases exp(-i E_n t) with hbar = 1.
 Observables are read back in the basis: the coefficients u(t) = D^T z(t) of
-the amplitudes z_n = a_n exp(-i E_n t) meet the bands of x and x^2, so
-<x> and <x^2> are short band sums, bounded for all times with no secular
-drift.  They are evaluated over blocks of times: one table of in-block phase
+the amplitudes z_n = a_n exp(-i E_n t) meet the bands of x + sigma and
+(x + sigma)^2, so <x> and <x^2> are short band sums, bounded for all times
+with no secular drift.  They are evaluated over blocks of times: one table of in-block phase
 offsets serves every block of an evenly stepped grid, and one real matrix
 product takes each block's amplitudes back to the basis.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .eigen import EigenSolution
-from .oscbasis import BasisConfig, _hermite_rows, _power_bands, basis_functions
+from .oscbasis import BasisConfig, _hermite_rows, _polynomial_bands, basis_functions
 from .output import FMT, write_csv
 
 __all__ = [
@@ -217,20 +217,19 @@ def observables_series(state: EvolutionState, times: np.ndarray):
     e^{-iE (t-t0)}, which every later block with the same offsets reuses (all
     of an evenly stepped grid).  One real product of the kept eigenvector rows
     with the real view of z^T gives the basis coefficients u = D^T z, with the
-    real and imaginary parts of each time in adjacent columns.  The bands of
-    x and x^2 then give
+    real and imaginary parts of each time in adjacent columns.  A basis
+    shifted by sigma measures x - sigma, so the moments are those of the
+    polynomials P = x + sigma and P = (x + sigma)^2 in the basis coordinate,
+    of half bandwidth 1 and 2.  Each is
 
-        <x>   = 2 sum_n x_{n,n+1} Re(conj(u_n) u_{n+1}),
-        <x^2> = sum_n x2_{n,n} |u_n|^2 + 2 sum_n x2_{n,n+2} Re(conj(u_n) u_{n+2}),
+        <P> = sum_n P_{n,n} |u_n|^2 + 2 sum_{k=1,2} sum_n P_{n,n+k} Re(conj(u_n) u_{n+k}),
 
-    each a matrix-vector product with the products of shifted rows of u.
+    and one loop over the offsets k = 0, 1, 2 serves both, one product of
+    the two polynomials' bands with the products of shifted rows of u each.
 
     Both are moments of the truncated state psi_N = sum_n a_n phi_n, of norm^2
-    sum a_n^2 = 1 - loss, not renormalized.  A basis shifted by sigma measures
-    x - sigma, so sigma and sigma^2 enter weighted by that norm^2 (taken over
-    the kept modes and not clamped): <x> gains sigma sum a^2, and <x^2> gains
-    2 sigma <x - sigma> + sigma^2 sum a^2.  A shifted and an unshifted basis
-    holding the same psi_N thus report the same moments, lossy or not.
+    sum a_n^2 = 1 - loss, not renormalized, so a shifted and an unshifted
+    basis holding the same psi_N report the same moments, lossy or not.
     """
     times = np.asarray(times, dtype=float).ravel()
     keep = np.abs(state.a) >= _MODE_CUTOFF
@@ -239,9 +238,13 @@ def observables_series(state: EvolutionState, times: np.ndarray):
     a = state.a[keep]
     e = state.energies[keep]
     d_keep = state.eigvectors[keep]
-    cfg = state.basis
-    _, x1 = _power_bands(1, cfg.omega, cfg.dim, cfg.center)
-    x2_diag, _, x2_off = _power_bands(2, cfg.omega, cfg.dim, cfg.center)
+    cfg, s = state.basis, state.basis.sigma
+    # w[:, k] = the k-th upper bands of x + sigma and (x + sigma)^2, doubled
+    # for k > 0 as each stands for its mirror below the diagonal too
+    w = np.zeros((2, 3, cfg.dim))
+    w[0, :2] = _polynomial_bands((s, 1.0), cfg.omega, cfg.dim, cfg.center)
+    w[1] = _polynomial_bands((s * s, 2.0 * s, 1.0), cfg.omega, cfg.dim, cfg.center)
+    w[:, 1:] *= 2.0
     out = np.empty((2, times.size))
     offsets = table = None
     for lo in range(0, times.size, _TIME_BLOCK):
@@ -256,16 +259,10 @@ def observables_series(state: EvolutionState, times: np.ndarray):
             np.sin(arg, out=table.imag)
         zt = (a * np.exp(-1j * e * t[0]))[:, None] * table
         u = d_keep.T @ zt.view(float)
-        sums = np.array((2.0 * (x1[:-1] @ (u[:-1] * u[1:])),
-                         x2_diag @ (u * u) + 2.0 * (x2_off[:-2] @ (u[:-2] * u[2:]))))
+        sums = sum(w[:, k, :cfg.dim - k] @ (u[:cfg.dim - k] * u[k:]) for k in range(min(3, cfg.dim)))
         # adjacent columns hold the real and imaginary parts of one time
         out[:, lo:lo + t.size] = sums[:, 0::2] + sums[:, 1::2]
     x_mean, x2_mean = out
-    s = cfg.sigma
-    if s != 0.0:
-        norm2 = float(a @ a)
-        x2_mean = x2_mean + 2.0 * s * x_mean + s * s * norm2
-        x_mean = x_mean + s * norm2
     return x_mean, x2_mean
 
 

@@ -9,14 +9,17 @@ tridiagonal ladder
 
     x_{n,l} = (sqrt(l) delta_{n,l-1} + sqrt(n) delta_{l,n-1}) / sqrt(2 omega),
 
-so x^p has half bandwidth p and H = p^2/2 + V has half bandwidth
-max(deg V, 2).  Matrix elements of x^p are built exactly in band storage by
-applying the ladder p times on an index range enlarged by p on each side, so
-that truncation never corrupts the returned block (a length-p hopping path
-cannot leave the enlarged range and return).  The Hamiltonian is summed band
-by band and stays in that band storage, which is what the eigensolver
-takes; no dense matrix is formed.  The tests check every element against a
-closed-form summation and Gauss-Hermite quadrature.
+so a polynomial P(x) of degree p has half bandwidth p.  Its matrix elements
+are built exactly in band storage by Horner's rule, p rounds of the ladder
+on an index range enlarged by p on each side, so that truncation never
+corrupts the returned block (a hopping path of length at most p cannot
+leave the enlarged range and return).  The basis makes
+p^2/2 = omega (n + 1/2) - (omega^2/2) x^2, so the Hamiltonian H = p^2/2 + V
+is omega (n + 1/2) on the diagonal plus one such polynomial, of half
+bandwidth deg V; it stays in band storage, which is what the eigensolver
+takes, and no dense matrix is formed.  The evolution's <x> and <x^2> are
+read from the bands of two more polynomials.  The tests check every element
+against a closed-form summation and Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .potential import PolynomialPotential
+from .potential import PolynomialPotential, _shifted_coeffs
 
 __all__ = [
     "BasisConfig",
@@ -89,26 +92,31 @@ def _check_omega(omega: float):
         raise ValueError(f"basis frequency must be positive and finite, got {omega}")
 
 
-def _power_bands(p: int, omega: float, dim: int, center: int) -> np.ndarray:
-    """Upper bands out[k, i] = (x^p)_{center+i, center+i+k}, k = 0..p.
+def _polynomial_bands(coeffs, omega: float, dim: int, center: int) -> np.ndarray:
+    """Upper bands out[k, i] = P(x)_{center+i, center+i+k}, k = 0..p, of
+    P(x) = sum_j coeffs[j] x^j with p = len(coeffs) - 1.
 
-    The tridiagonal ladder is applied p times to the identity, in band
-    storage, on the global index range [max(0, center-p), center+dim+p):
-    a length-p hopping path cannot leave that range and return, so the
-    block is exact.  Cost O((dim + 2p) p^2); entries past the block edge
-    (i + k >= dim) are zero.
+    Horner's rule in band storage on the global index range
+    [max(0, center-p), center+dim+p): from coeffs[p] on the diagonal, each of
+    p rounds applies the tridiagonal ladder once and adds the next coefficient
+    on the diagonal.  A hopping path of length at most p cannot leave that
+    range and return, so the block is exact.  Each round costs
+    O((dim + 2p) p); entries past the block edge (i + k >= dim) are zero.
     """
+    p = len(coeffs) - 1
     lo = max(0, center - p)
     m = center + dim + p - lo
     # hop[r, i] = x_{i+s, i+s+1} on the enlarged range, s = r - (p+1); 0 outside
     up = np.zeros(m + 2 * p + 2)
     up[p + 1:p + m] = np.sqrt(np.arange(lo + 1, lo + m)) / math.sqrt(2.0 * omega)
     hop = np.lib.stride_tricks.sliding_window_view(up, m)[:2 * p + 3]
-    # band[r, i] = (x^q)_{i, i+r-(p+1)}; rows 0 and 2p+2 stay zero
+    # band[r, i] = P_q(x)_{i, i+r-(p+1)} for the partial polynomial P_q;
+    # rows 0 and 2p+2 stay zero
     band = np.zeros((2 * p + 3, m))
-    band[p + 1] = 1.0
-    for _ in range(p):
+    band[p + 1] = coeffs[p]
+    for c in coeffs[-2::-1]:
         band[1:-1] = band[:-2] * hop[:-2] + band[2:] * hop[1:-1]
+        band[p + 1] += c
     a = center - lo
     out = band[p + 1:2 * p + 2, a:a + dim].copy()
     for k in range(1, p + 1):
@@ -138,34 +146,19 @@ def _block_moments(dim: int, center: int, degree: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _momentum_squared_bands(omega: float, dim: int, center: int) -> np.ndarray:
-    """Upper bands of p^2: diagonal omega*(2n+1)/2, second off-diagonal
-    -(omega/2)*sqrt((n+1)(n+2)); the first vanishes by parity."""
-    n = center + np.arange(dim)
-    out = np.zeros((3, dim))
-    out[0] = omega * (2.0 * n + 1.0) / 2.0
-    m = n[:-2]
-    out[2, :m.size] = -(omega / 2.0) * np.sqrt((m + 1.0) * (m + 2.0))
-    return out
-
-
 def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> HamiltonianMatrix:
     """Hamiltonian block H = p^2/2 + V(x + sigma) in the configured basis.
 
-    The shift is applied to the potential coefficients exactly.  H is banded
-    with half bandwidth kd = max(degree, 2): the kinetic bands (offsets 0 and
-    2) and kappa_j times the bands of each x^j are summed into one
-    (kd+1) x dim array, trimmed to at most dim rows, and returned as is.
+    The shift is applied to the potential coefficients exactly.  The basis
+    makes p^2/2 = omega (n + 1/2) - (omega^2/2) x^2, so H is omega (n + 1/2)
+    on the diagonal plus the polynomial V(x + sigma) - (omega^2/2) x^2, whose
+    bands come from one Horner pass.  H has half bandwidth kd = deg V >= 2;
+    the (kd+1) x dim bands are trimmed to at most dim rows and returned as is.
     """
-    shifted = pot.shift(cfg.sigma) if cfg.sigma != 0.0 else pot
-    bands = np.zeros((max(shifted.degree, 2) + 1, cfg.dim))
-    bands[:3] = 0.5 * _momentum_squared_bands(cfg.omega, cfg.dim, cfg.center)
-    if shifted.coeffs[0] != 0.0:
-        bands[0] += shifted.coeffs[0]
-    for j, kj in enumerate(shifted.coeffs):
-        if j == 0 or kj == 0.0:
-            continue
-        bands[:j + 1] += kj * _power_bands(j, cfg.omega, cfg.dim, cfg.center)
+    coeffs = _shifted_coeffs(pot.coeffs, cfg.sigma)
+    coeffs[2] -= 0.5 * cfg.omega * cfg.omega
+    bands = _polynomial_bands(coeffs, cfg.omega, cfg.dim, cfg.center)
+    bands[0] += cfg.omega * (cfg.center + np.arange(cfg.dim) + 0.5)
     return HamiltonianMatrix(bands=bands[:cfg.dim], config=cfg)
 
 

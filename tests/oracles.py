@@ -10,9 +10,11 @@ rationals (diagonal elements by applying the ladder operators to |n>) and
 evaluate it with mpmath.  lower_bands turns a dense symmetric test
 matrix into the band storage the eigensolver takes, and dense turns a
 Hamiltonian block's bands back into the full matrix; the library itself
-never forms one.  position_power_matrix and momentum_squared_matrix are the
-dense x^p and p^2 blocks, read off the package's own bands for the tests
-that compare whole matrices.  block_levels_mp solves a block's dense matrix
+never forms one.  position_power_matrix is the dense x^p block, read off
+the package's own polynomial bands for the tests that compare whole
+matrices; momentum_squared_matrix is the dense p^2 block from its own closed
+form, since the package only ever forms p^2/2 + (omega^2/2) x^2 as
+omega (n + 1/2).  block_levels_mp solves a block's dense matrix
 at 30 digits with mpmath.  split_operator_moments propagates a wave function
 on an FFT grid, with no basis or eigenpairs.  eigenbasis_position_power
 rotates the dense x^p into the eigenbasis, for the reference sums over
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.special import eval_hermite, gammaln, roots_hermite
 
 from varosc import basis_functions
-from varosc.oscbasis import _check_omega, _momentum_squared_bands, _power_bands
+from varosc.oscbasis import _check_omega, _polynomial_bands
 
 
 def hermite_function(n: int, omega: float, x: np.ndarray) -> np.ndarray:
@@ -444,23 +446,26 @@ def dense(h) -> np.ndarray:
 def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np.ndarray:
     """Exact matrix elements (x^p)_{n,l} for n, l in [center, center+dim).
 
-    The dense form of the package's bands: exactly symmetric, banded with
-    half bandwidth p, and with exact zeros wherever p + n + l is odd.
+    The dense form of the package's bands of the monomial x^p: exactly
+    symmetric, banded with half bandwidth p, and with exact zeros wherever
+    p + n + l is odd.
     """
     _check_omega(omega)
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
-    if p == 0:
-        return np.eye(dim)
-    return _densify(_power_bands(p, omega, dim, center))
+    return _densify(_polynomial_bands((0.0,) * p + (1.0,), omega, dim, center))
 
 
 def momentum_squared_matrix(omega: float, dim: int, center: int = 0) -> np.ndarray:
-    """Matrix of p^2, pentadiagonal with a zero first off-diagonal."""
+    """Matrix of p^2 from its closed form, which the package never builds:
+    diagonal omega (2n + 1)/2, second off-diagonal -(omega/2) sqrt((n+1)(n+2)),
+    and a zero first off-diagonal by parity."""
     _check_omega(omega)
-    return _densify(_momentum_squared_bands(omega, dim, center))
-
-
+    n = center + np.arange(dim, dtype=float)
+    out = np.diag(omega * (2.0 * n + 1.0) / 2.0)
+    i = np.arange(max(dim - 2, 0))
+    out[i, i + 2] = out[i + 2, i] = -(omega / 2.0) * np.sqrt((n[i] + 1.0) * (n[i] + 2.0))
+    return out
 def block_levels_mp(bands: np.ndarray, dps: int = 30) -> np.ndarray:
     """Every eigenvalue of the block with these upper bands, ascending.
 

@@ -185,6 +185,8 @@ _EVOLVE_CFG = {
     ("evolution", {"x_min": -1e308, "x_max": 1e308, "x_points": 3, "snapshot_times": [0]}),
     # 1.8e4 steps, but e^(-iEt) would be nan at t ~ 1e308: t_max is capped
     ("evolution", {"t_max": 1.7976e308, "t_step": 1e304}),
+    # snapshot times take the same cap as t_max
+    ("evolution", {"snapshot_times": [1e300]}),
 ])
 def test_non_finite_input_is_config_error(tmp_path, capsys, block, patch):
     command, cfg = ("trace-scan", _SCAN_CFG) if block == "scan" else ("evolve", _EVOLVE_CFG)
@@ -504,6 +506,18 @@ def test_bad_arguments_exit_alike_on_every_call(capsys):
 def test_t_max_cap_names_the_field(tmp_path, capsys):
     cfg = json.loads(json.dumps(_EVOLVE_CFG))
     cfg["evolution"].update(t_max=1e13, t_step=1e8)  # 1e5 steps, under the step cap
+    path = write_config(tmp_path, cfg)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "evolution.t_max" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_phases_are_config_error(tmp_path, capsys):
+    # t_max and the step count are under their caps, but E ~ 1e300 makes E·t
+    # overflow; the solved energies are checked before any file is written
+    cfg = json.loads(json.dumps(_EVOLVE_CFG))
+    cfg["potential"] = {"kind": "coeffs", "coeffs": [1e300, 0.0, 1.0]}
+    cfg["evolution"].update(t_max=1e9, t_step=1e4)
     path = write_config(tmp_path, cfg)
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "evolution.t_max" in capsys.readouterr().err

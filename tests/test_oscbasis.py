@@ -11,9 +11,10 @@ from varosc import (
     from_double_well,
     from_quartic,
 )
-from varosc.oscbasis import _block_moments
+from varosc.oscbasis import _block_moments, _polynomial_bands
 
 from oracles import (
+    _densify,
     basis_function_value,
     dense,
     gh_position_block,
@@ -149,11 +150,13 @@ def test_closed_form_matches_banded_product_centered():
 
 
 def test_closed_form_matches_band_recurrence_large_block():
+    coeffs = np.random.default_rng(6).uniform(-2.0, 2.0, 7)  # a degree-6 polynomial
     for center in (0, 40):
+        closed = [position_power_closed_form(p, 1.7, 200, center=center) for p in range(9)]
         for p in range(1, 9):
-            a = position_power_matrix(p, 1.7, 200, center=center)
-            b = position_power_closed_form(p, 1.7, 200, center=center)
-            rel_compare(a, b, rtol=1e-10)
+            rel_compare(position_power_matrix(p, 1.7, 200, center=center), closed[p], rtol=1e-10)
+        rel_compare(_densify(_polynomial_bands(coeffs, 1.7, 200, center)),
+                    sum(c * m for c, m in zip(coeffs, closed)), rtol=1e-10)
 
 
 def test_diagonal_path_matches_matrix_diagonal():
@@ -185,8 +188,8 @@ def test_sho_matched_basis_is_diagonal():
     pot = PolynomialPotential((0.0, 0.0, m_osc**2 / 2.0))
     cfg = BasisConfig(dim=12, omega=m_osc)
     h = dense(assemble_hamiltonian(pot, cfg))
-    np.testing.assert_allclose(h, np.diag(m_osc * (np.arange(12) + 0.5)),
-                               rtol=1e-13, atol=1e-13)
+    # kappa_2 - omega^2/2 is exactly 0, so only omega (n + 1/2) is left
+    np.testing.assert_array_equal(h, np.diag(m_osc * (np.arange(12) + 0.5)))
 
 
 def test_single_element_quartic_block():
