@@ -137,13 +137,6 @@ def build_potential(cfg: dict) -> PolynomialPotential:
     return _potential(_walk("potential", cfg.get("potential", {}), None))
 
 
-def _one_of(block: dict, name: str, one: str, many: str) -> tuple:
-    """block[many], or (block[one],); exactly one of the two must be given."""
-    if (block[one] is None) == (block[many] is None):
-        raise ConfigError(f"give exactly one of config fields '{name}.{one}' and '{name}.{many}'")
-    return block[many] or (block[one],)
-
-
 def _tagged(path: str, tag: str, values: tuple) -> dict:
     """Output-file tag -> value, as '_w0.5' for tag 'w'; values that print alike are an error."""
     tagged = {f"_{tag}{v:g}": v for v in values}
@@ -162,7 +155,7 @@ def _validate(command: str, cfg) -> dict:
         raise ConfigError("solver.optimize_sigma cannot be combined with "
                           "solver.target_level: a centered block is solved at sigma = 0")
     if command == "trace-scan":
-        solver["dims"] = _tagged("solver.dims", "n", _one_of(solver, "solver", "dim", "dims"))
+        solver["dims"] = _tagged("solver.dims", "n", solver["dims"])
         scan = vals["scan"]
         if not scan["omega_max"] > scan["omega_min"]:
             raise ConfigError("scan.omega_max must exceed scan.omega_min")
@@ -179,7 +172,7 @@ def _validate(command: str, cfg) -> dict:
             raise ConfigError("solver.n_ref must be at least every dimension in solver.dims")
     if command == "evolve":
         evo = vals["evolution"]
-        widths = _one_of(evo, "evolution", "width", "widths")
+        widths = evo["widths"]
         # one width writes untagged files
         evo["widths"] = (_tagged("evolution.widths", "w", widths) if len(widths) > 1
                          else {"": widths[0]})
@@ -306,7 +299,7 @@ _COMMANDS = {
                    "target_level": _Field("integer", ge=0, le=_MAX_LEVEL)},
     }),
     "trace-scan": (cmd_trace_scan, {
-        "solver": {"dim": _DIM, "dims": _DIM._replace(many=True)},
+        "solver": {"dims": _DIM._replace(required=True, many=True)},
         "scan": {"omega_min": _Field("number", required=True, gt=0.0),
                  "omega_max": _Field("number", required=True, gt=0.0),
                  "points": _Field("integer", default=101, ge=1, le=_MAX_POINTS)},
@@ -320,7 +313,7 @@ _COMMANDS = {
         "evolution": {
             "initial": _Field("string", required=True, choices=("centered", "shifted")),
             "x0": _Field("number", default=0.0),
-            "width": _Field("number", gt=0.0), "widths": _Field("number", gt=0.0, many=True),
+            "widths": _Field("number", required=True, gt=0.0, many=True),
             "t_max": _Field("number", required=True, ge=0.0, le=_MAX_TIME),
             "t_step": _Field("number", required=True, gt=0.0),
             "quadrature": _FLAG,

@@ -150,28 +150,21 @@ def project_by_quadrature(psi0, basis: BasisConfig, n_nodes: int | None = None) 
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Eigenbasis amplitudes plus everything needed to evaluate observables.
+    """Eigenbasis amplitudes of one state and the solution they belong to.
 
-    a[n] are the (real, t = 0) amplitudes on eigenstates; energies and
-    eigvectors are the solution's own read-only arrays, shared by every
-    state made from it.  truncation_loss = max(0, 1 - sum a^2) is the
-    probability weight the finite basis could not capture (clamped, since a
-    fully resolved state can carry 1 + O(eps) after rounding).
+    a[n] are the (real, t = 0) amplitudes on the eigenstates of solution,
+    which holds the energies, eigenvector rows and basis.  truncation_loss =
+    max(0, 1 - sum a^2) is the probability weight the finite basis could not
+    capture (clamped, since a fully resolved state can carry 1 + O(eps) after
+    rounding).
     """
 
     a: np.ndarray
-    energies: np.ndarray
-    eigvectors: np.ndarray
-    basis: BasisConfig
+    solution: EigenSolution
     truncation_loss: float
 
     def __post_init__(self):
-        for arr in (self.a, self.energies, self.eigvectors):
-            arr.flags.writeable = False
-
-    def amplitudes_at(self, t: float) -> np.ndarray:
-        """Complex amplitudes a_n e^{-i E_n t}."""
-        return self.a * np.exp(-1j * self.energies * t)
+        self.a.flags.writeable = False
 
 
 def make_evolution(c: np.ndarray, sol: EigenSolution) -> EvolutionState:
@@ -204,8 +197,7 @@ def make_evolution(c: np.ndarray, sol: EigenSolution) -> EvolutionState:
             "must be normalized"
         )
     a = d @ c
-    return EvolutionState(a=a, energies=sol.energies, eigvectors=d, basis=sol.config,
-                          truncation_loss=max(0.0, float(1.0 - np.dot(a, a))))
+    return EvolutionState(a=a, solution=sol, truncation_loss=max(0.0, float(1.0 - np.dot(a, a))))
 
 
 def observables_series(state: EvolutionState, times: np.ndarray):
@@ -235,10 +227,9 @@ def observables_series(state: EvolutionState, times: np.ndarray):
     keep = np.abs(state.a) >= _MODE_CUTOFF
     if not keep.any():
         keep[0] = True
-    a = state.a[keep]
-    e = state.energies[keep]
-    d_keep = state.eigvectors[keep]
-    cfg, s = state.basis, state.basis.sigma
+    sol = state.solution
+    a, e, d_keep = state.a[keep], sol.energies[keep], sol.vectors[keep]
+    cfg, s = sol.config, sol.config.sigma
     # w[:, k] = the k-th upper bands of x + sigma and (x + sigma)^2, doubled
     # for k > 0 as each stands for its mirror below the diagonal too
     w = np.zeros((2, 3, cfg.dim))
@@ -271,11 +262,10 @@ def wavefunction_at(state: EvolutionState, x, t: float) -> complex | np.ndarray:
 
     x is the original coordinate; the basis sees x - sigma.
     """
-    cfg = state.basis
+    sol, cfg = state.solution, state.solution.config
     xs = np.atleast_1d(np.asarray(x, dtype=float)) - cfg.sigma
     phi = basis_functions(cfg.center + cfg.dim, cfg.omega, xs)[cfg.center:, :]
-    amps = state.amplitudes_at(t)
-    psi = (amps @ state.eigvectors) @ phi
+    psi = ((state.a * np.exp(-1j * sol.energies * t)) @ sol.vectors) @ phi
     if np.ndim(x) == 0:
         return complex(psi[0])
     return psi

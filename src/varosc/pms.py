@@ -161,12 +161,12 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     which np.roots gives all at once; each real one is polished by Newton on
     the exact derivative in log(omega).
 
-    With optimize_sigma, a 5x5 multistart grid over
-    omega in [omega*/10, 10 omega*] (omega* from the sigma = 0 solve) and
-    sigma in [-x_range, x_range] (x_range = largest turning point of V) seeds
-    Nelder-Mead in (log omega, sigma), which stops when T, in units of
-    max(1, |T|) at omega*, changes by less than 1e-8; every end point is
-    polished by Newton on the exact gradient and Hessian.
+    With optimize_sigma, a multistart grid of 5 omega in [omega*/10, 10 omega*]
+    (omega* from the sigma = 0 solve) times 5 sigma in [-x_range, x_range]
+    (x_range = largest turning point of V; sigma = 0 alone when V' has no
+    nonzero real root) seeds Nelder-Mead in (log omega, sigma), which stops
+    when T, in units of max(1, |T|) at omega*, changes by less than 1e-8;
+    every end point is polished by Newton on the exact gradient and Hessian.
 
     One rule picks the result in both searches: a candidate must pass the
     residual gate and have a positive definite Hessian in the free
@@ -175,11 +175,27 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     mirror images tie exactly.
 
     stationarity_residual is the norm of the exact gradient of T in log(omega)
-    (and sigma) at the result.  A nonzero center optimizes the trace of the
+    (and sigma) at the result.  A V whose coefficients overflow the polynomial
+    is solved exactly as V'(y) = 2^-2m V(2^-m y), with its residual in
+    log(omega) and 2^m sigma.  A nonzero center optimizes the trace of the
     block of basis indices [center, center+N) instead of the lowest block.
     """
     if N < 1:
         raise ValueError(f"block dimension must be >= 1, got {N}")
+
+    def stationary_poly():
+        """omega^(H+1) dT/domega at sigma = 0, highest power first."""
+        return [0.25 * N * (N + 2 * center), 0.0] + [
+            -h * pot.coeffs[2 * h] * d for h, d in enumerate(_block_moments(N, center, pot.degree), 1)]
+
+    poly, m = stationary_poly(), 0
+    # np.roots divides by the leading coefficient
+    if not all(math.isfinite(c / poly[0]) for c in poly):
+        # x = 2^-m y makes H = 2^2m H', so the PMS basis of V' gives omega =
+        # 2^2m omega', sigma = 2^-m sigma' and T = 2^2m T'; every even kappa' <= 1
+        m = max(math.ceil(math.frexp(c)[1] / (2 * h + 2)) for h, c in enumerate(pot.coeffs[2::2], 1))
+        pot = PolynomialPotential(tuple(math.ldexp(c, -m * (j + 2)) for j, c in enumerate(pot.coeffs)))
+        poly = stationary_poly()
     even = not any(pot.coeffs[1::2])
 
     def lowest_stationary(starts, free):
@@ -196,9 +212,6 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
                 found.append((t_val, omega, sigma, resid))
         return min(found, key=lambda c: c[:2], default=None)
 
-    # omega^(H+1) dT/domega at sigma = 0, highest power first
-    poly = [0.25 * N * (N + 2 * center), 0.0] + [
-        -h * pot.coeffs[2 * h] * d for h, d in enumerate(_block_moments(N, center, pot.degree), 1)]
     # np.roots returns real roots with an imaginary part of exactly zero
     best = lowest_stationary([np.array([math.log(r.real), 0.0]) for r in np.roots(poly)
                               if r.imag == 0.0 and r.real > 0.0], 1)
@@ -215,7 +228,7 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         omega_star = best[1]
         x_range = _largest_turning_point(pot)
         log_ws = np.linspace(math.log(0.1 * omega_star), math.log(10.0 * omega_star), 5)
-        sigmas = np.linspace(-x_range, x_range, 5) if x_range > 0 else np.zeros(5)
+        sigmas = np.linspace(-x_range, x_range, 5) if x_range > 0 else np.zeros(1)
         starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
         ends = [minimize(f2, z0, method="Nelder-Mead",
                          options={"xatol": _TOL_2D, "fatol": _TOL_2D,
@@ -226,5 +239,6 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
                 f"no start among {len(starts)} reached a stationary point of the trace"
             )
     t_val, omega, sigma, resid = best
-    return PmsResult(omega=omega, sigma=sigma, trace_value=t_val,
-                     stationarity_residual=resid)
+    return PmsResult(omega=math.ldexp(omega, 2 * m), sigma=math.ldexp(sigma, -m),
+                     trace_value=math.ldexp(t_val, 2 * m),
+                     stationarity_residual=math.ldexp(resid, 2 * m))

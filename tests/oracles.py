@@ -484,7 +484,7 @@ def eigenbasis_position_power(p: int, state) -> np.ndarray:
 
     x is the basis coordinate; a shifted basis adds sigma to it.
     """
-    cfg, d = state.basis, state.eigvectors
+    cfg, d = state.solution.config, state.solution.vectors
     return d @ position_power_matrix(p, cfg.omega, cfg.dim, cfg.center) @ d.T
 
 

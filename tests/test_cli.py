@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -62,7 +63,7 @@ def test_asym_recipes_reproduce_benchmark_parameters(tmp_path):
      ["convergence.csv", "pms_omegas.csv"]),
     ("evolve", {"potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
                 "solver": {"dim": 30},
-                "evolution": {"initial": "shifted", "x0": 1.0, "width": 0.5, "t_max": 2.0,
+                "evolution": {"initial": "shifted", "x0": 1.0, "widths": [0.5], "t_max": 2.0,
                               "t_step": 0.25, "snapshot_times": [0.0, 1.5], "x_points": 21}},
      ["observables.csv", "wavefunction_t0.csv", "wavefunction_t1.5.csv"]),
 ])
@@ -159,10 +160,22 @@ def test_unbounded_potential_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa2", [1.0, 1e306, 1e308])
+def test_harmonic_coefficient_up_to_the_float_range_solves(tmp_path, kappa2):
+    # V = kappa2 x^2 has its PMS frequency at sqrt(2 kappa2), past 1e154 at the top
+    path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": [0.0, 0.0, kappa2]},
+                                   "solver": {"dim": 20}})
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    pms = json.loads((tmp_path / "o" / "pms.json").read_text())
+    want = 2.0 * math.sqrt(kappa2 / 2.0)
+    assert abs(pms["omega"] - want) <= 1e-15 * want
+    assert math.isfinite(pms["trace"])
+
+
 _EVOLVE_CFG = {
     "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
     "solver": {"dim": 20},
-    "evolution": {"initial": "shifted", "x0": 1.0, "width": 0.5,
+    "evolution": {"initial": "shifted", "x0": 1.0, "widths": [0.5],
                   "t_max": 1.0, "t_step": 0.5},
 }
 
@@ -241,6 +254,7 @@ def test_optimize_sigma_with_target_level_is_config_error(tmp_path, capsys, monk
 
 
 _SCAN = {"omega_min": 0.1, "omega_max": 10.0, "points": 5}
+_SCAN_CFG = {"potential": _QUARTIC, "solver": {"dims": [4]}, "scan": _SCAN}
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -275,6 +289,15 @@ def test_empty_lists_are_config_errors(tmp_path, capsys, command, cfg):
      "solver.dims"),
     # a repeated dimension would be solved and written twice
     ("convergence", {"potential": _QUARTIC, "solver": {"dims": [4, 6, 4]}}, "solver.dims"),
+    # one spelling per setting: a single width or dim is a one-entry list
+    ("evolve", {**_EVOLVE_CFG, "evolution": {**_EVOLVE_CFG["evolution"], "width": 0.5}},
+     "evolution.width"),
+    ("trace-scan", {**_SCAN_CFG, "solver": {"dim": 4}}, "solver.dim"),
+    ("trace-scan", {**_SCAN_CFG, "solver": {"dims": [4], "dim": 4}}, "solver.dim"),
+    # and the list is required
+    ("evolve", {**_EVOLVE_CFG, "evolution": {"initial": "centered", "t_max": 1.0, "t_step": 0.5}},
+     "evolution.widths"),
+    ("trace-scan", {**_SCAN_CFG, "solver": {}}, "solver.dims"),
 ])
 def test_unread_blocks_and_keys_are_named_config_errors(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, cfg)
@@ -314,7 +337,7 @@ def test_shifted_basis_evolution_needs_no_quadrature(tmp_path, monkeypatch):
     monkeypatch.setattr(varosc.evolve, "project_by_quadrature", never)
     path = write_config(tmp_path, {
         "potential": {"kind": "asym_demo"}, "solver": {"dim": 40, "optimize_sigma": True},
-        "evolution": {"initial": "shifted", "x0": -3.0, "width": 60.0,
+        "evolution": {"initial": "shifted", "x0": -3.0, "widths": [60.0],
                       "t_max": 1.0, "t_step": 0.5},
     })
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -327,7 +350,7 @@ def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
         "solver": {"dim": 4},
         "evolution": {"initial": "shifted", "x0": 5.0,
-                      "width": 0.2041241452319315,
+                      "widths": [0.2041241452319315],
                       "t_max": 1.0, "t_step": 0.5, "quadrature": True},
     })
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
@@ -411,7 +434,7 @@ def test_evolve_zero_horizon_gives_initial_moments(tmp_path):
     cfg = {
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
         "solver": {"dim": 60},
-        "evolution": {"initial": "centered", "width": width,
+        "evolution": {"initial": "centered", "widths": [width],
                       "t_max": 0.0, "t_step": 1.0},
     }
     path = write_config(tmp_path, cfg)
@@ -431,7 +454,7 @@ def test_evolve_writes_snapshots(tmp_path):
     cfg = {
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
         "solver": {"dim": 40},
-        "evolution": {"initial": "centered", "width": 0.2041241452319315,
+        "evolution": {"initial": "centered", "widths": [0.2041241452319315],
                       "t_max": 1.0, "t_step": 0.5,
                       "snapshot_times": [0.0, 1.0],
                       "x_min": -12.0, "x_max": 12.0, "x_points": 51},
@@ -469,9 +492,6 @@ def test_shifted_sweep_writes_one_file_per_width(tmp_path):
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     names = sorted(p.name for p in (tmp_path / "o").iterdir())
     assert names == ["observables_w0.204124.csv", "observables_w0.408248.csv"]
-
-
-_SCAN_CFG = {"potential": _QUARTIC, "solver": {"dims": [4]}, "scan": _SCAN}
 
 
 @pytest.mark.parametrize("command, cfg, field", [
@@ -609,3 +629,19 @@ def test_mutated_recipes_exit_cleanly(case):
         assert code in (0, 2, 3)
         if code == 2:
             assert not out.exists()
+
+
+def test_readme_config_table_names_every_field():
+    # the table in README is the config's documentation: no field may be added
+    # to or removed from the checking tables without it
+    from varosc.cli import _COMMANDS, _POTENTIALS
+
+    accepted = {"potential.kind", "output.dir"}
+    accepted |= {f"potential.{key}" for _, fields in _POTENTIALS.values() for key in fields}
+    accepted |= {f"{block}.{key}" for _, blocks in _COMMANDS.values()
+                 for block, fields in blocks.items() for key in fields}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| field | type | bounds | default | read by |", 1)[1].split("\n\n", 1)[0]
+    documented = {name for row in table.splitlines()[2:]
+                  for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    assert documented == accepted

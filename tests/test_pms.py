@@ -254,6 +254,66 @@ def test_reflection_negates_shift(N):
     assert worst_e <= 1e-13
 
 
+_ASYM_OTHER = PolynomialPotential((3.0, -20.0, -10.0, 6.0, 2.0))
+
+
+@pytest.mark.parametrize("pot, N, s", [(asym_demo(), 11, 0.5), (asym_demo(), 21, -1.25),
+                                       (_ASYM_OTHER, 11, 3.0), (_ASYM_OTHER, 21, -1.25)])
+def test_translation_moves_shift_only(pot, N, s):
+    # V(x) -> V(x - s) moves the whole problem by s: sigma follows, omega and the
+    # levels stay (the shifted coefficients are rounded, so not bit for bit)
+    a = solve_spectrum(pot, N, optimize_sigma=True, levels=range(5))
+    b = solve_spectrum(pot.shift(-s), N, optimize_sigma=True, levels=range(5))
+    assert abs(b.pms.sigma - a.pms.sigma - s) <= 7.1e-15 * max(1.0, abs(s))
+    assert abs(b.pms.omega - a.pms.omega) <= 5.3e-15 * a.pms.omega
+    assert np.all(np.abs(b.energies - a.energies) <= 1e-13 * np.maximum(1.0, np.abs(a.energies)))
+
+
+@pytest.mark.parametrize("pot", [from_quartic(1.0, 1.0), from_double_well(0.01, 5.0),
+                                 asym_demo(), _ASYM_OTHER])
+def test_constant_offset_moves_levels_only(pot):
+    # kappa_0 enters neither the stationary polynomial nor the gradient in omega
+    a = solve_spectrum(pot, 20, levels=range(6))
+    for c in (-7.5, 100.0, 1e3):
+        b = solve_spectrum(PolynomialPotential((pot.coeffs[0] + c, *pot.coeffs[1:])), 20,
+                           levels=range(6))
+        assert b.pms.omega == a.pms.omega
+        scale = max(1.0, abs(c), float(np.max(np.abs(a.energies))))
+        assert np.all(np.abs(b.energies - a.energies - c) <= 1.7e-14 * scale)
+
+
+def test_pure_quartic_levels_scale_as_cube_root_of_coupling():
+    # x -> g^(-1/6) x maps g x^4 to g^(1/3) times x^4, basis and truncation included
+    ref = solve_spectrum(PolynomialPotential((0.0, 0.0, 0.0, 0.0, 1.0)), 20, levels=range(6))
+    for g in (1e-3, 8.0, 1e6):
+        res = solve_spectrum(PolynomialPotential((0.0, 0.0, 0.0, 0.0, g)), 20, levels=range(6))
+        want = g ** (1.0 / 3.0) * ref.energies
+        assert np.all(np.abs(res.energies - want) <= 1.7e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("N", [20, 100])
+@pytest.mark.parametrize("kappa2", [1.0, 1e306, 1e308])
+def test_harmonic_optimum_is_square_root_of_twice_kappa2(kappa2, N):
+    # T = N^2 (omega/4 + kappa2 / (2 omega)) is stationary at omega^2 = 2 kappa2.
+    # From kappa2 ~ 1e305 the stationary polynomial overflows, and the search runs
+    # on the potential rescaled by a power of two
+    res = pms_optimize(PolynomialPotential((0.0, 0.0, kappa2)), N)
+    want = 2.0 * math.sqrt(kappa2 / 2.0)
+    assert abs(res.omega - want) <= 1e-15 * want
+    assert res.trace_value == pytest.approx(N * N * want / 2.0, rel=1e-15)
+
+
+def test_even_single_well_runs_each_2d_start_once(monkeypatch):
+    # V' has no nonzero real root, so every sigma start is 0: one Nelder-Mead run
+    # per omega start, not five copies of each
+    calls = []
+    inner = pms.minimize
+    monkeypatch.setattr(pms, "minimize", lambda *args, **kw: calls.append(1) or inner(*args, **kw))
+    res = pms_optimize(from_quartic(1.0, 1.0), 20, optimize_sigma=True)
+    assert len(calls) == 5
+    assert (res.omega, res.sigma) == (4.38798345638625, 0.0)
+
+
 def test_extreme_double_well_simplex_stops_on_relative_change(monkeypatch):
     # lambda = 1e20 puts T near -1e20; an absolute 1e-8 stop on T took ~81,000
     # trace calls here, a relative one takes a few thousand
