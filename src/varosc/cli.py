@@ -132,11 +132,6 @@ def _potential(fields: dict) -> PolynomialPotential:
         raise ConfigError(f"invalid potential: {exc}") from exc
 
 
-def build_potential(cfg: dict) -> PolynomialPotential:
-    """Construct the potential named by config['potential']."""
-    return _potential(_walk("potential", cfg.get("potential", {}), None))
-
-
 def _tagged(path: str, tag: str, values: tuple) -> dict:
     """Output-file tag -> value, as '_w0.5' for tag 'w'; values that print alike are an error."""
     tagged = {f"_{tag}{v:g}": v for v in values}
@@ -216,13 +211,15 @@ def cmd_spectrum(vals: dict, args) -> int:
         levels = _parse_levels(args.levels, levels.start, levels.stop)
     report = sp.solve_spectrum(pot, n_dim, optimize_sigma=solver["optimize_sigma"],
                                levels=levels, target_level=target)
-    out = _outdir(vals, args)
-    sp.write_levels_csv(out / "levels.csv", report)
     pms, basis = report.pms, report.solution.config
     payload = {"omega": pms.omega, "sigma": pms.sigma, "trace": pms.trace_value,
                "stationarity_residual": pms.stationarity_residual,
                "dim": basis.dim, "center": basis.center}
-    (out / "pms.json").write_text(json.dumps(payload, indent=2) + "\n")
+    # a non-finite float is not JSON: a ValueError here, before any file is made
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    out = _outdir(vals, args)
+    sp.write_levels_csv(out / "levels.csv", report)
+    (out / "pms.json").write_text(text)
     print(f"spectrum: wrote {out/'levels.csv'} and {out/'pms.json'} "
           f"(omega={pms.omega:.6g}, sigma={pms.sigma:.6g})")
     return 0

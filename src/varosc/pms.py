@@ -153,6 +153,13 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
                  center: int = 0) -> PmsResult:
     """Stationary point of the truncated trace over omega (and optionally sigma).
 
+    Every solve runs on V'(y) = 2^-2m V(2^-m y), x = 2^-m y, with m the
+    smallest integer that brings each even coefficient to at most 1 in
+    magnitude; omega, sigma and T map back as 2^2m omega', 2^-m sigma' and
+    2^2m T'.  The map is exact, so V written with x -> 2^k x gives the result
+    of V bit for bit rescaled.  Coefficients that no m brings into the float
+    range (one overflows, or the leading one rounds to 0) raise ConvergenceError.
+
     At sigma = 0 the stationary frequencies are the positive roots of the
     polynomial omega^(H+1) dT/domega (2H = deg V),
 
@@ -162,11 +169,12 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     the exact derivative in log(omega).
 
     With optimize_sigma, a multistart grid of 5 omega in [omega*/10, 10 omega*]
-    (omega* from the sigma = 0 solve) times 5 sigma in [-x_range, x_range]
-    (x_range = largest turning point of V; sigma = 0 alone when V' has no
-    nonzero real root) seeds Nelder-Mead in (log omega, sigma), which stops
-    when T, in units of max(1, |T|) at omega*, changes by less than 1e-8;
-    every end point is polished by Newton on the exact gradient and Hessian.
+    (omega* from the sigma = 0 solve) times 5 sigma in [-u, u] (u = largest
+    turning point of V'; sigma = 0 alone, and u = 1, when V' has no nonzero
+    real root) seeds Nelder-Mead in (log omega, sigma / u), which stops when
+    both move, and T in units of max(1, |T|) at omega* changes, by less than
+    1e-8; every end point is polished by Newton on the exact gradient and
+    Hessian.
 
     One rule picks the result in both searches: a candidate must pass the
     residual gate and have a positive definite Hessian in the free
@@ -174,28 +182,23 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     coefficient of V is zero, T is even in sigma and |sigma| is reported, so
     mirror images tie exactly.
 
-    stationarity_residual is the norm of the exact gradient of T in log(omega)
-    (and sigma) at the result.  A V whose coefficients overflow the polynomial
-    is solved exactly as V'(y) = 2^-2m V(2^-m y), with its residual in
-    log(omega) and 2^m sigma.  A nonzero center optimizes the trace of the
-    block of basis indices [center, center+N) instead of the lowest block.
+    stationarity_residual is 2^2m times the norm of the exact gradient of T'
+    in log(omega) (and sigma') at the result.  A nonzero center optimizes the
+    trace of the block of basis indices [center, center+N) instead of the
+    lowest block.
     """
     if N < 1:
         raise ValueError(f"block dimension must be >= 1, got {N}")
-
-    def stationary_poly():
-        """omega^(H+1) dT/domega at sigma = 0, highest power first."""
-        return [0.25 * N * (N + 2 * center), 0.0] + [
-            -h * pot.coeffs[2 * h] * d for h, d in enumerate(_block_moments(N, center, pot.degree), 1)]
-
-    poly, m = stationary_poly(), 0
-    # np.roots divides by the leading coefficient
-    if not all(math.isfinite(c / poly[0]) for c in poly):
-        # x = 2^-m y makes H = 2^2m H', so the PMS basis of V' gives omega =
-        # 2^2m omega', sigma = 2^-m sigma' and T = 2^2m T'; every even kappa' <= 1
-        m = max(math.ceil(math.frexp(c)[1] / (2 * h + 2)) for h, c in enumerate(pot.coeffs[2::2], 1))
-        pot = PolynomialPotential(tuple(math.ldexp(c, -m * (j + 2)) for j, c in enumerate(pot.coeffs)))
-        poly = stationary_poly()
+    m = max(math.ceil(math.frexp(c)[1] / (2 * h + 2)) for h, c in enumerate(pot.coeffs[2::2], 1) if c)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(pot.coeffs, [-m * (j + 2) for j in range(pot.degree + 1)])
+    if not (np.all(np.isfinite(scaled)) and scaled[-1] > 0.0):
+        raise ConvergenceError(f"the coefficients span more than one float frame: in x = 2^{-m} y "
+                               "one overflows or the leading one rounds to 0")
+    pot = PolynomialPotential(tuple(scaled.tolist()))
+    # omega^(H+1) dT/domega at sigma = 0, highest power first
+    poly = [0.25 * N * (N + 2 * center), 0.0] + [
+        -h * pot.coeffs[2 * h] * d for h, d in enumerate(_block_moments(N, center, pot.degree), 1)]
     even = not any(pot.coeffs[1::2])
 
     def lowest_stationary(starts, free):
@@ -222,23 +225,23 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         scale = max(1.0, abs(best[0]))
 
         def f2(z):
-            return trace(pot, BasisConfig(dim=N, omega=math.exp(z[0]), sigma=z[1],
+            return trace(pot, BasisConfig(dim=N, omega=math.exp(z[0]), sigma=unit * z[1],
                                           center=center)) / scale
 
         omega_star = best[1]
         x_range = _largest_turning_point(pot)
+        unit = x_range or 1.0
         log_ws = np.linspace(math.log(0.1 * omega_star), math.log(10.0 * omega_star), 5)
-        sigmas = np.linspace(-x_range, x_range, 5) if x_range > 0 else np.zeros(1)
+        sigmas = np.linspace(-1.0, 1.0, 5) if x_range > 0 else np.zeros(1)
         starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
         ends = [minimize(f2, z0, method="Nelder-Mead",
                          options={"xatol": _TOL_2D, "fatol": _TOL_2D,
-                                  "maxiter": _MAXITER_2D}).x for z0 in starts]
+                                  "maxiter": _MAXITER_2D}).x * [1.0, unit] for z0 in starts]
         best = lowest_stationary([z for z in ends if np.all(np.isfinite(z))], 2)
         if best is None:
             raise ConvergenceError(
                 f"no start among {len(starts)} reached a stationary point of the trace"
             )
-    t_val, omega, sigma, resid = best
-    return PmsResult(omega=math.ldexp(omega, 2 * m), sigma=math.ldexp(sigma, -m),
-                     trace_value=math.ldexp(t_val, 2 * m),
-                     stationarity_residual=math.ldexp(resid, 2 * m))
+    with np.errstate(over="ignore"):
+        t_val, omega, sigma, resid = np.ldexp(best, [2 * m, 2 * m, -m, 2 * m]).tolist()
+    return PmsResult(omega=omega, sigma=sigma, trace_value=t_val, stationarity_residual=resid)

@@ -21,6 +21,15 @@ def run(recipe, out, command="spectrum", extra=()):
     return main([command, "--config", str(RECIPES / recipe), "--out", str(out), *extra])
 
 
+def _reject_constant(name):
+    raise ValueError(f"pms.json holds {name}, which is not JSON")
+
+
+def read_pms(path):
+    """pms.json as strict JSON: NaN and Infinity are an error."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def write_config(tmp_path, body, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(body))
@@ -33,19 +42,19 @@ def test_quartic_recipe_ground_state(tmp_path):
     assert lines[0] == "n,energy"
     e0 = float(lines[1].split(",")[1])
     assert f"{2.0 * e0:.12f}".startswith("13.3884417010")
-    pms = json.loads((tmp_path / "q" / "pms.json").read_text())
+    pms = read_pms(tmp_path / "q" / "pms.json")
     assert pms["sigma"] == 0.0
     assert pms["dim"] == 100
 
 
 def test_asym_recipes_reproduce_benchmark_parameters(tmp_path):
     assert run("asym_quartic_small.json", tmp_path / "a") == 0
-    pms = json.loads((tmp_path / "a" / "pms.json").read_text())
+    pms = read_pms(tmp_path / "a" / "pms.json")
     assert pms["sigma"] == pytest.approx(-3.889, abs=5e-3)
     assert pms["omega"] == pytest.approx(31.179, abs=5e-2)
 
     assert run("asym_quartic_large.json", tmp_path / "b") == 0
-    pms = json.loads((tmp_path / "b" / "pms.json").read_text())
+    pms = read_pms(tmp_path / "b" / "pms.json")
     assert pms["sigma"] == pytest.approx(-3.583, abs=5e-3)
     assert pms["omega"] == pytest.approx(27.431, abs=5e-2)
     lines = (tmp_path / "b" / "levels.csv").read_text().strip().splitlines()
@@ -166,7 +175,7 @@ def test_harmonic_coefficient_up_to_the_float_range_solves(tmp_path, kappa2):
     path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": [0.0, 0.0, kappa2]},
                                    "solver": {"dim": 20}})
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    pms = json.loads((tmp_path / "o" / "pms.json").read_text())
+    pms = read_pms(tmp_path / "o" / "pms.json")
     want = 2.0 * math.sqrt(kappa2 / 2.0)
     assert abs(pms["omega"] - want) <= 1e-15 * want
     assert math.isfinite(pms["trace"])
@@ -372,6 +381,30 @@ def test_non_finite_output_is_numerical_failure(tmp_path, capsys, command, cfg, 
     assert not (tmp_path / "o" / name).exists()
 
 
+def test_infinite_pms_trace_is_numerical_failure(tmp_path, capsys):
+    # kappa_0 N overflows the trace; pms.json would hold Infinity, which is not JSON
+    path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": [1e308, 0.0, 1.0]},
+                                   "solver": {"dim": 20}})
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("coeffs", [
+    # x = 2^166 y brings kappa_4 to ~1 and sends kappa_1 past 1e308
+    [0.0, 1e200, 1e-300, 0.0, 1e-300],
+    # x = 2^-250 y brings |kappa_2| to ~1 and sends the leading kappa_4 to 0
+    [0.0, 0.0, -1e300, 0.0, 1e-10],
+])
+def test_coefficients_past_one_float_frame_are_numerical_failure(tmp_path, capsys, coeffs):
+    path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": coeffs},
+                                   "solver": {"dim": 20}})
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "more than one float frame" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_stiff_quartic_spectrum_is_solved(tmp_path):
     # the shipped quartic with m2 = 1e12: PMS frequency ~ m = 1e6, levels
     # ~ m (n + 1/2), far outside any fixed frequency window
@@ -379,7 +412,7 @@ def test_stiff_quartic_spectrum_is_solved(tmp_path):
     cfg["potential"]["m2"] = 1e12
     path = write_config(tmp_path, cfg)
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    pms = json.loads((tmp_path / "o" / "pms.json").read_text())
+    pms = read_pms(tmp_path / "o" / "pms.json")
     assert pms["omega"] == pytest.approx(1e6, rel=1e-12)
     lines = (tmp_path / "o" / "levels.csv").read_text().strip().splitlines()
     assert float(lines[1].split(",")[1]) == pytest.approx(0.5e6, rel=1e-6)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import varosc
-from varosc.cli import build_potential, main
+from varosc.cli import _validate, main
 
 ROOT = Path(__file__).resolve().parent.parent
 RECIPES = ROOT / "recipes"
@@ -108,8 +108,8 @@ def _rel(field, got, want, tol):
     return Moved(field, abs(got - want), abs(want), tol)
 
 
-def _levels(got, want, cfg):
-    v_min = _v_min(build_potential(cfg))
+def _levels(got, want, vals):
+    v_min = _v_min(vals["potential"])
     g_comments, g_head, g_rows = _table(got)
     assert (g_comments, g_head) == ([], "n,energy")
     rows = _table(want)[2]
@@ -118,8 +118,12 @@ def _levels(got, want, cfg):
             for (n, e), (_n, e_gold) in zip(g_rows, rows)]
 
 
-def _pms(got, want, cfg):
-    got, want = json.loads(got), json.loads(want)
+def _reject_constant(name):
+    raise ValueError(f"pms.json holds {name}, which is not JSON")
+
+
+def _pms(got, want, vals):
+    got, want = (json.loads(t, parse_constant=_reject_constant) for t in (got, want))
     assert set(got) == set(want)
     assert (got["dim"], got["center"]) == (want["dim"], want["center"])
     # the residual is a roundoff-level diagnostic of the search; only its
@@ -130,10 +134,10 @@ def _pms(got, want, cfg):
             _rel("trace", got["trace"], want["trace"], TRACE_TOL)]
 
 
-def _convergence(got, want, cfg):
-    pot = build_potential(cfg)
+def _convergence(got, want, vals):
+    pot = vals["potential"]
     v_min = _v_min(pot)
-    ref = varosc.solve_spectrum(pot, cfg["solver"]["n_ref"])
+    ref = varosc.solve_spectrum(pot, vals["solver"]["n_ref"])
     g_rows, rows = _table(got)[2], _table(want)[2]
     assert [r[:2] for r in g_rows] == [r[:2] for r in rows], "(N, n) rows differ"
     return [Moved(f"delta(N={int(n_dim)}, n={int(lvl)})", abs(d - d_gold),
@@ -141,14 +145,14 @@ def _convergence(got, want, cfg):
             for (n_dim, lvl, d), (_nd, _l, d_gold) in zip(g_rows, rows)]
 
 
-def _pms_omegas(got, want, cfg):
+def _pms_omegas(got, want, vals):
     g_rows, rows = _table(got)[2], _table(want)[2]
     assert [r[0] for r in g_rows] == [r[0] for r in rows]
     return [_rel(f"omega(N={int(n_dim)})", w, w_gold, PMS_TOL)
             for (n_dim, w), (_n, w_gold) in zip(g_rows, rows)]
 
 
-def _trace_scan(got, want, cfg):
+def _trace_scan(got, want, vals):
     g_comments, g_head, g_rows = _table(got)
     comments, head, rows = _table(want)
     assert (g_comments, g_head) == (comments, head)
@@ -161,7 +165,7 @@ def _trace_scan(got, want, cfg):
     return moved
 
 
-def _observables(got, want, cfg):
+def _observables(got, want, vals):
     g_comments, g_head, g_rows = _table(thinned(got))
     comments, head, rows = _table(want)
     assert g_head == head
@@ -207,9 +211,9 @@ def compare_case(case: Case, out: Path) -> list[tuple[str, Moved]]:
     golden = GOLDEN / case.name
     produced = sorted(p.name for p in out.iterdir())
     assert produced == sorted(p.name for p in golden.iterdir())
-    cfg = json.loads((RECIPES / case.recipe).read_text())
+    vals = _validate(case.command, json.loads((RECIPES / case.recipe).read_text()))
     return [(name, m) for name in produced
-            for m in _compare(name)((out / name).read_text(), (golden / name).read_text(), cfg)]
+            for m in _compare(name)((out / name).read_text(), (golden / name).read_text(), vals)]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])

@@ -291,12 +291,28 @@ def test_pure_quartic_levels_scale_as_cube_root_of_coupling():
         assert np.all(np.abs(res.energies - want) <= 1.7e-14 * np.abs(want))
 
 
+@pytest.mark.parametrize("pot, N, optimize_sigma", [(asym_demo(), 11, True),
+                                                     (from_double_well(1.0, 6.0), 40, False)])
+def test_power_of_two_rescaling_maps_the_optimum_bit_for_bit(pot, N, optimize_sigma):
+    # V written with x -> 2^k x is V(2^-k x): coefficient j times 2^(k(j+2)) after
+    # the factor 2^2k on H.  Both are solved in the same normalised frame, so
+    # omega, sigma and T are exact powers of two of the original's
+    ref = pms_optimize(pot, N, optimize_sigma=optimize_sigma)
+    for k in (-80, -3, 5, 80):
+        image = PolynomialPotential(tuple(math.ldexp(c, k * (j + 2))
+                                          for j, c in enumerate(pot.coeffs)))
+        res = pms_optimize(image, N, optimize_sigma=optimize_sigma)
+        assert (res.omega, res.sigma, res.trace_value) == (
+            math.ldexp(ref.omega, 2 * k), math.ldexp(ref.sigma, -k),
+            math.ldexp(ref.trace_value, 2 * k)), k
+
+
 @pytest.mark.parametrize("N", [20, 100])
-@pytest.mark.parametrize("kappa2", [1.0, 1e306, 1e308])
+@pytest.mark.parametrize("kappa2", [1e-300, 1.0, 1e300, 1e306, 1e308])
 def test_harmonic_optimum_is_square_root_of_twice_kappa2(kappa2, N):
     # T = N^2 (omega/4 + kappa2 / (2 omega)) is stationary at omega^2 = 2 kappa2.
-    # From kappa2 ~ 1e305 the stationary polynomial overflows, and the search runs
-    # on the potential rescaled by a power of two
+    # The search runs on V rescaled by a power of two to kappa2' in [1/16, 1), so
+    # log(omega') is small and omega keeps its last bits at either end of the range
     res = pms_optimize(PolynomialPotential((0.0, 0.0, kappa2)), N)
     want = 2.0 * math.sqrt(kappa2 / 2.0)
     assert abs(res.omega - want) <= 1e-15 * want
