@@ -260,13 +260,14 @@ def cmd_evolve(vals: dict, args) -> int:
     evo, solver = vals["evolution"], vals["solver"]
     t_max, t_step, widths = evo["t_max"], evo["t_step"], evo["widths"]
     xs = evo["xs"]
-    times = np.arange(0.0, t_max + 0.5 * t_step, t_step) if t_max > 0 else np.array([0.0])
+    # k t_step for k = 0..n, the last passing t_max by no more than rounding
+    times = t_step * np.arange(math.floor(t_max / t_step * (1.0 + 4 * np.finfo(float).eps)) + 1)
     report = sp.solve_spectrum(vals["potential"], solver["dim"],
                                optimize_sigma=solver["optimize_sigma"])
     # the phases e^(-iEt) take absolute energies, which a huge constant term in
     # V lifts past what the time caps allow for
     e_max = float(np.max(np.abs(report.solution.energies)))
-    t_far = max([t_max, *map(abs, evo["snapshot_times"].values())])
+    t_far = max([float(times[-1]), *map(abs, evo["snapshot_times"].values())])
     if not math.isfinite(e_max * t_far):
         raise ConfigError(f"evolution.t_max: the phases E·t overflow, with max|E| = {e_max:g} "
                           f"and times up to {t_far:g}")

@@ -7,12 +7,13 @@ at a stationary point of the truncated trace
     T_N(omega, sigma) = sum_{n in block} H_nn,
 
 which is cheap (diagonal elements only) and invariant under unitary changes
-of basis.  T is a closed form in omega and sigma, so its derivatives are
-exact too: at sigma = 0 the stationary frequencies are the roots of one
-polynomial, and every candidate is polished by Newton on the exact gradient
-and Hessian, with no finite differences.  Only minima count, and when
-several survive, the one with the smallest trace (then smallest omega) is
-returned so results are reproducible.
+of basis.  T is one closed form in omega and sigma on plain numbers,
+`trace`, so its derivatives are exact too: at sigma = 0 the stationary
+frequencies are the roots of one polynomial, and every candidate is
+polished by Newton on the exact gradient and Hessian, with no finite
+differences.  Only minima count, and when several survive, the one with
+the smallest trace (then smallest omega) is returned so results are
+reproducible.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .oscbasis import BasisConfig, _block_moments
+from .oscbasis import _block_moments
 from .potential import PolynomialPotential, _shifted_coeffs
 
 __all__ = [
@@ -33,8 +34,9 @@ __all__ = [
     "pms_optimize",
 ]
 
-# convergence controls (2D simplex size, iteration cap, stationarity gate)
+# convergence controls (2D simplex size, Newton step cap, iteration cap, stationarity gate)
 _TOL_2D = 1e-8
+_NEWTON_STEPS = 8
 _MAXITER_2D = 2000
 _RESIDUAL_REL = 1e-7
 
@@ -53,29 +55,26 @@ class PmsResult:
     stationarity_residual: float
 
 
-def _block_trace(omega, pot: PolynomialPotential, sigma: float, dim: int, center: int):
-    """T = (omega/4) N (N + 2c) + kappa_0 N + sum_{h>=1} kappa_2h D_2h omega^(-h),
-    for omega a float or an array, kappa the coefficients of V(x + sigma)."""
-    kappas = _shifted_coeffs(pot.coeffs, sigma)[::2]
+def trace(pot: PolynomialPotential, dim: int, omega, sigma: float = 0.0, center: int = 0):
+    """Trace of the block [center, center + dim) in closed form, for one omega
+    (a Python float back) or an array of omega (an array back).
+
+    Only even powers of x have diagonal elements, so
+
+        T = (omega/4) N (N + 2c) + kappa_0 N + sum_{h>=1} kappa_2h D_2h omega^(-h),
+
+    with kappa the coefficients of V(x + sigma) and D_2h the block moments,
+    summed exactly once per (dim, center, degree) and cached.  A call costs
+    O(deg V) per omega, whatever the block size, and checks no argument.
+    """
+    if not isinstance(omega, np.ndarray):
+        omega = float(omega)
+    kappas = _shifted_coeffs(pot.coeffs, float(sigma))[::2]
     total = 0.25 * omega * (dim * (dim + 2 * center)) + kappas[0] * dim
     for h, d in enumerate(_block_moments(dim, center, pot.degree), 1):
         if kappas[h] != 0.0:
             total = total + kappas[h] * d * omega**-h
     return total
-
-
-def trace(pot: PolynomialPotential, cfg: BasisConfig) -> float:
-    """Trace of the Hamiltonian block in closed form, as a Python float.
-
-    Only even powers of x have diagonal elements, so
-
-        T = (omega/4) N (N + 2c) + kappa_0 N + sum_{even j>=2} kappa_j D_j omega^(-j/2),
-
-    with kappa_j the coefficients of V(x + sigma) and D_j the block moments,
-    summed exactly once per (dim, center, degree) and cached.  A call costs
-    O(deg V), whatever the block size, and builds no matrix or potential.
-    """
-    return _block_trace(float(cfg.omega), pot, float(cfg.sigma), cfg.dim, cfg.center)
 
 
 def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray) -> np.ndarray:
@@ -86,7 +85,7 @@ def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray) -> np.nda
         raise ValueError(f"basis dimension must be >= 1, got {dim}")
     if not np.all((omegas > 0.0) & np.isfinite(omegas)):
         raise ValueError("basis frequencies must be positive and finite")
-    return _block_trace(omegas, pot, 0.0, dim, 0) / dim
+    return trace(pot, dim, omegas) / dim
 
 
 def _gradient_hessian(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray):
@@ -117,8 +116,7 @@ def _gradient_hessian(pot: PolynomialPotential, dim: int, center: int, z: np.nda
     return np.array([g_w, g_s]), np.array([[h_ww, h_ws], [h_ws, h_ss]])
 
 
-def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free: int,
-            steps: int = 8):
+def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free: int):
     """Newton on the exact gradient in the first `free` entries of z.
 
     Stops when a step no longer lowers the gradient norm, which is where
@@ -126,7 +124,7 @@ def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free
     in the free entries at z.
     """
     g, hess = _gradient_hessian(pot, dim, center, z)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         z_new = z.copy()
         try:
             z_new[:free] -= np.linalg.solve(hess[:free, :free], g[:free])
@@ -208,7 +206,7 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         for z0 in starts:
             z, resid, hess = _newton(pot, N, center, z0, free)
             omega, sigma = math.exp(z[0]), float(abs(z[1]) if even else z[1])
-            t_val = _block_trace(omega, pot, sigma, N, center)
+            t_val = trace(pot, N, omega, sigma, center)
             # Sylvester's criterion, enough for one or two free variables
             if (resid <= _RESIDUAL_REL * max(abs(t_val), 1.0)
                     and hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
@@ -225,8 +223,7 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         scale = max(1.0, abs(best[0]))
 
         def f2(z):
-            return trace(pot, BasisConfig(dim=N, omega=math.exp(z[0]), sigma=unit * z[1],
-                                          center=center)) / scale
+            return trace(pot, N, math.exp(z[0]), unit * z[1], center) / scale
 
         omega_star = best[1]
         x_range = _largest_turning_point(pot)

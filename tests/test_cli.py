@@ -577,6 +577,22 @@ def test_overflowing_phases_are_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("potential, t_max, t_step, want", [
+    # 2 x 0.6 passes t_max = 1
+    (_EVOLVE_CFG["potential"], 1.0, 0.6, [0.0, 0.6]),
+    # E·t_max is finite but E·t_step is not, so a time past t_max cannot be written
+    ({"kind": "coeffs", "coeffs": [1.5e296, 0.0, 1.0]}, 1e12, 1.5e12, [0.0]),
+])
+def test_evolve_times_stop_at_t_max(tmp_path, potential, t_max, t_step, want):
+    cfg = {"potential": potential, "solver": {"dim": 4},
+           "evolution": {"initial": "centered", "widths": [1.0],
+                         "t_max": t_max, "t_step": t_step}}
+    path = write_config(tmp_path, cfg)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "observables.csv").read_text().strip().splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == want
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("trace-scan", _SCAN_CFG),
     ("evolve", _EVOLVE_CFG),

@@ -11,7 +11,7 @@ import inspect
 import varosc.evolve
 import varosc.pms
 import varosc.spectrum
-from varosc import BasisConfig, PolynomialPotential, assemble_hamiltonian, from_quartic
+from varosc import BasisConfig, PolynomialPotential, assemble_hamiltonian, asym_demo, from_quartic
 
 LAYERS = ("cli", "potential", "pms", "oscbasis", "eigen", "spectrum", "evolve")
 
@@ -41,3 +41,25 @@ def test_names_perfbench_binds():
     assert params(varosc.spectrum.write_levels_csv)[1:3] == ["report", "levels"]
     assert params(varosc.spectrum.write_convergence_csv)[1] == "study"
     assert public_functions(varosc.evolve, "project_")
+
+
+def test_pms_search_calls_the_module_trace_and_builds_no_config(monkeypatch):
+    # the tracer counts pms.trace spans inside pms_optimize (its self-test
+    # wants more than 100 per 2D search), so the search must look trace up
+    # in the module; it passes plain numbers, with no BasisConfig per call
+    calls = {"trace": 0, "config": 0}
+    trace, check = varosc.pms.trace, BasisConfig.__post_init__
+
+    def counted_trace(*args):
+        calls["trace"] += 1
+        return trace(*args)
+
+    def counted_check(self):
+        calls["config"] += 1
+        check(self)
+
+    monkeypatch.setattr(varosc.pms, "trace", counted_trace)
+    monkeypatch.setattr(BasisConfig, "__post_init__", counted_check)
+    varosc.pms.pms_optimize(asym_demo(), 11, optimize_sigma=True)
+    assert calls["config"] == 0
+    assert calls["trace"] > 100

@@ -35,7 +35,7 @@ def quartic_trace_formula(omega, mu2, g, N):
 
 def test_sho_trace_is_level_sum():
     pot = PolynomialPotential((0.0, 0.0, 0.5))  # m = 1
-    val = trace(pot, BasisConfig(dim=3, omega=1.0))
+    val = trace(pot, 3, 1.0)
     assert val == pytest.approx(0.5 + 1.5 + 2.5, rel=1e-15)
 
 
@@ -47,7 +47,7 @@ def test_quartic_trace_closed_formula_both_signs():
             g = float(rng.uniform(0.01, 2000.0))
             N = int(rng.integers(1, 40))
             pot = from_quartic(1.0, g, sign)
-            got = trace(pot, BasisConfig(dim=N, omega=omega))
+            got = trace(pot, N, omega)
             want = quartic_trace_formula(omega, sign * 1.0, g, N)
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -64,7 +64,7 @@ def test_trace_matches_assembled_hamiltonian():
             sigma=float(rng.uniform(-2.0, 2.0)),
             center=int(rng.integers(0, 4)),
         )
-        diag_path = trace(pot, cfg)
+        diag_path = trace(pot, cfg.dim, cfg.omega, cfg.sigma, cfg.center)
         matrix_path = float(np.trace(dense(assemble_hamiltonian(pot, cfg))))
         assert diag_path == pytest.approx(matrix_path, rel=1e-12)
 
@@ -84,12 +84,32 @@ def test_trace_matches_exact_oracle(degree):
         if case % 2:
             omega = np.float64(omega)
         sigma = 0.0 if case % 3 == 0 else float(rng.uniform(-3.0, 3.0))
-        cfg = BasisConfig(dim=int(rng.integers(1, 301)), omega=omega, sigma=sigma,
-                          center=int(rng.integers(0, 60)))
-        got = trace(pot, cfg)
+        dim, center = int(rng.integers(1, 301)), int(rng.integers(0, 60))
+        got = trace(pot, dim, omega, sigma, center)
         assert type(got) is float
-        want, scale = exact_trace(pot, cfg)
-        assert abs(got - want) <= 1e-15 * scale, (case, cfg, float((got - want) / scale))
+        want, scale = exact_trace(pot, BasisConfig(dim, omega, sigma, center))
+        assert abs(got - want) <= 1e-15 * scale, (case, float((got - want) / scale))
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6, 8, 12])
+def test_trace_on_an_array_is_the_scalar_calls(degree):
+    # at omega = 2^k every omega^-h is exact, so the array and the scalar
+    # calls round alike, bit for bit; elsewhere numpy's vectorised pow may
+    # differ from libm's pow in the last bit, within the oracle's bound
+    rng = np.random.default_rng(200 + degree)
+    for _ in range(10):
+        coeffs = rng.normal(size=degree + 1)
+        coeffs[-1] = rng.uniform(0.01, 5.0)
+        pot = PolynomialPotential(tuple(float(c) for c in coeffs))
+        dim, center = int(rng.integers(1, 301)), int(rng.integers(0, 60))
+        sigma = float(rng.uniform(-3.0, 3.0))
+        dyadic = np.ldexp(1.0, rng.integers(-30, 31, size=40))
+        got = trace(pot, dim, dyadic, sigma, center)
+        assert got.tolist() == [trace(pot, dim, w, sigma, center) for w in dyadic]
+        omegas = 10.0 ** rng.uniform(-2.0, 3.0, size=5)
+        for w, t in zip(omegas, trace(pot, dim, omegas, sigma, center)):
+            _, scale = exact_trace(pot, BasisConfig(dim, w, sigma, center))
+            assert abs(t - trace(pot, dim, w, sigma, center)) <= 1e-15 * scale
 
 
 # ------------------------------------------------------------- closed form
@@ -225,7 +245,7 @@ def test_lowest_trace_minimum_wins_over_maximum_and_higher_minimum():
     pot = PolynomialPotential((0.0, 0.0, 40.0, 0.0, -30.0, 0.0, 4.0))
     res = pms_optimize(pot, 2)
     assert res.omega == pytest.approx(0.9089195715346063, rel=1e-14)
-    traces = [trace(pot, BasisConfig(dim=2, omega=w)) for w in (0.90892, 2.9096, 6.5588)]
+    traces = [trace(pot, 2, w) for w in (0.90892, 2.9096, 6.5588)]
     assert traces[0] < traces[2] < traces[1]
 
 
@@ -379,8 +399,7 @@ def test_trace_scan_values():
     omegas = np.logspace(0, 2, 7)
     vals = trace_scan(pot, 10, omegas)
     for w, v in zip(omegas, vals):
-        assert v == pytest.approx(trace(pot, BasisConfig(dim=10, omega=w)) / 10.0,
-                                  rel=1e-15)
+        assert v == pytest.approx(trace(pot, 10, w) / 10.0, rel=1e-15)
 
 
 # fixed ids keep the names that recorded test runs already use for these cases
