@@ -6,8 +6,8 @@ symmetric solver (scipy.linalg.eig_banded).  The solver reduces the band to
 tridiagonal form and then:
 
 - the whole block with eigenvectors (time evolution needs every one):
-  divide and conquer (?sbevd), giving orthonormal eigenvector rows, here
-  with deterministic signs;
+  divide and conquer (?sbevd), giving orthonormal eigenvector rows, each
+  with the sign LAPACK gives it (no output depends on it);
 - the whole block's energies only (a spectrum without --levels): the
   eigenvalue-only branch of the same driver, which forms no eigenvector;
 - a strict subset of the levels (spectra with --levels, convergence
@@ -36,7 +36,7 @@ from .oscbasis import BasisConfig, HamiltonianMatrix
 __all__ = ["EigenSolution", "DiagonalizationError", "diagonalize"]
 
 
-class DiagonalizationError(RuntimeError):
+class DiagonalizationError(ArithmeticError):
     """The eigensolver failed to converge on the given matrix."""
 
 
@@ -61,9 +61,9 @@ def diagonalize(h: HamiltonianMatrix, levels: range | None = None) -> EigenSolut
     """Eigenvalues (and, for levels=None, eigenvectors) of a symmetric block.
 
     levels=None returns every eigenpair.  Energies come back sorted
-    ascending, and each eigenvector row is rescaled so its largest-magnitude
-    entry is positive, making the output deterministic; downstream
-    projections rely only on orthonormality, so any fixed convention works.
+    ascending, and each eigenvector row keeps LAPACK's sign: every use
+    downstream (a projection times its row, the observables and the
+    wavefunction) is even in the sign of each row, so none is fixed.
 
     levels, a contiguous range of global levels inside the block's
     range(center, center + dim), returns only those energies, with
@@ -118,9 +118,5 @@ def diagonalize(h: HamiltonianMatrix, levels: range | None = None) -> EigenSolut
     energies = energies[order]
     if levels is not None:
         return EigenSolution(energies=energies, vectors=None, config=h.config, levels=levels)
-    vectors = np.concatenate(rows)[order]
-    lead = np.abs(vectors).argmax(axis=1)
-    signs = np.sign(vectors[np.arange(vectors.shape[0]), lead])
-    signs[signs == 0] = 1.0
-    vectors *= signs[:, None]
-    return EigenSolution(energies=energies, vectors=vectors, config=h.config, levels=block)
+    return EigenSolution(energies=energies, vectors=np.concatenate(rows)[order],
+                         config=h.config, levels=block)

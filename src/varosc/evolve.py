@@ -46,7 +46,7 @@ _MODE_CUTOFF = 1e-14
 _TIME_BLOCK = 256
 
 
-class BasisResolutionError(RuntimeError):
+class BasisResolutionError(ArithmeticError):
     """The truncated basis cannot resolve the requested initial state."""
 
 

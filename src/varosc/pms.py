@@ -7,11 +7,11 @@ at a stationary point of the truncated trace
     T_N(omega, sigma) = sum_{n in block} H_nn,
 
 which is cheap (diagonal elements only) and invariant under unitary changes
-of basis.  T is one closed form in omega and sigma on plain numbers,
-`trace`, so its derivatives are exact too: at sigma = 0 the stationary
-frequencies are the roots of one polynomial, and every candidate is
-polished by Newton on the exact gradient and Hessian, with no finite
-differences.  Only minima count, and when several survive, the one with
+of basis.  T is one closed form in omega and sigma, `trace`, through which
+the scan and every search read it, and its derivatives are exact too: at
+sigma = 0 the stationary frequencies are the roots of one polynomial, and
+every candidate is polished by Newton on the exact gradient and Hessian,
+with no finite differences.  Only minima count, and when several survive, the one with
 the smallest trace (then smallest omega) is returned so results are
 reproducible.
 """
@@ -41,7 +41,7 @@ _MAXITER_2D = 2000
 _RESIDUAL_REL = 1e-7
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """The stationary-point search failed to converge."""
 
 
@@ -55,20 +55,19 @@ class PmsResult:
     stationarity_residual: float
 
 
-def trace(pot: PolynomialPotential, dim: int, omega, sigma: float = 0.0, center: int = 0):
-    """Trace of the block [center, center + dim) in closed form, for one omega
-    (a Python float back) or an array of omega (an array back).
+def trace(pot: PolynomialPotential, dim: int, omega: float, sigma: float = 0.0, center: int = 0):
+    """Trace of the block [center, center + dim) in closed form, at one omega.
 
     Only even powers of x have diagonal elements, so
 
         T = (omega/4) N (N + 2c) + kappa_0 N + sum_{h>=1} kappa_2h D_2h omega^(-h),
 
     with kappa the coefficients of V(x + sigma) and D_2h the block moments,
-    summed exactly once per (dim, center, degree) and cached.  A call costs
-    O(deg V) per omega, whatever the block size, and checks no argument.
+    summed exactly once per (dim, center, degree) and cached.  T is a Python
+    float, each omega^-h one libm pow (OverflowError past the float range).
+    A call costs O(deg V) whatever the block size, and checks no argument.
     """
-    if not isinstance(omega, np.ndarray):
-        omega = float(omega)
+    omega = float(omega)
     kappas = _shifted_coeffs(pot.coeffs, float(sigma))[::2]
     total = 0.25 * omega * (dim * (dim + 2 * center)) + kappas[0] * dim
     for h, d in enumerate(_block_moments(dim, center, pot.degree), 1):
@@ -78,14 +77,14 @@ def trace(pot: PolynomialPotential, dim: int, omega, sigma: float = 0.0, center:
 
 
 def trace_scan(pot: PolynomialPotential, dim: int, omegas: np.ndarray) -> np.ndarray:
-    """T_N/N over a frequency grid at sigma = 0: trace's closed form on the whole
-    array at once."""
+    """T_N/N over a frequency grid at sigma = 0: one trace call per omega, so
+    each value is bit for bit the one the searches see."""
     omegas = np.asarray(omegas, dtype=float)
     if dim < 1:
         raise ValueError(f"basis dimension must be >= 1, got {dim}")
     if not np.all((omegas > 0.0) & np.isfinite(omegas)):
         raise ValueError("basis frequencies must be positive and finite")
-    return trace(pot, dim, omegas) / dim
+    return np.array([trace(pot, dim, w) for w in omegas.tolist()]) / dim
 
 
 def _gradient_hessian(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray):
@@ -120,8 +119,8 @@ def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free
     """Newton on the exact gradient in the first `free` entries of z.
 
     Stops when a step no longer lowers the gradient norm, which is where
-    rounding in the gradient sets in.  Returns z, that norm and the Hessian
-    in the free entries at z.
+    rounding in the gradient sets in.  Returns z and the gradient and the
+    Hessian in the free entries at z.
     """
     g, hess = _gradient_hessian(pot, dim, center, z)
     for _ in range(_NEWTON_STEPS):
@@ -131,10 +130,10 @@ def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free
             g_new, hess_new = _gradient_hessian(pot, dim, center, z_new)
         except (np.linalg.LinAlgError, OverflowError):
             break
-        if not np.linalg.norm(g_new[:free]) < np.linalg.norm(g[:free]):
+        if not math.hypot(*g_new[:free]) < math.hypot(*g[:free]):
             break
         z, g, hess = z_new, g_new, hess_new
-    return z, float(np.linalg.norm(g[:free])), hess[:free, :free]
+    return z, g[:free], hess[:free, :free]
 
 
 def _largest_turning_point(pot: PolynomialPotential) -> float:
@@ -174,11 +173,13 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     1e-8; every end point is polished by Newton on the exact gradient and
     Hessian.
 
-    One rule picks the result in both searches: a candidate must pass the
-    residual gate and have a positive definite Hessian in the free
-    variables; the lowest trace wins, then the lowest omega.  When every odd
-    coefficient of V is zero, T is even in sigma and |sigma| is reported, so
-    mirror images tie exactly.
+    One rule picks the result in both searches: a candidate must have a
+    positive definite Hessian in the free variables, and each free gradient
+    entry must be at most 1e-7 of the sum of its terms' magnitudes (the
+    d/dlog(omega) Hessian entry, and the d/dsigma gradient entry, of |V|
+    at (omega, |sigma|)); the lowest trace wins, then the lowest omega.
+    When every odd coefficient of V is zero, T is even in sigma and |sigma|
+    is reported, so mirror images tie exactly.
 
     stationarity_residual is 2^2m times the norm of the exact gradient of T'
     in log(omega) (and sigma') at the result.  A nonzero center optimizes the
@@ -198,19 +199,21 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     poly = [0.25 * N * (N + 2 * center), 0.0] + [
         -h * pot.coeffs[2 * h] * d for h, d in enumerate(_block_moments(N, center, pot.degree), 1)]
     even = not any(pot.coeffs[1::2])
+    abs_pot = PolynomialPotential(tuple(map(abs, pot.coeffs)))
 
     def lowest_stationary(starts, free):
         """(trace, omega, sigma, residual) of the lowest-trace minimum, then lowest
         omega, that Newton reaches from one of starts; None if none."""
         found = []
         for z0 in starts:
-            z, resid, hess = _newton(pot, N, center, z0, free)
+            z, grad, hess = _newton(pot, N, center, z0, free)
             omega, sigma = math.exp(z[0]), float(abs(z[1]) if even else z[1])
-            t_val = trace(pot, N, omega, sigma, center)
+            # each gradient entry against the sum of its terms' magnitudes
+            g_abs, h_abs = _gradient_hessian(abs_pot, N, center, np.array([z[0], abs(z[1])]))
             # Sylvester's criterion, enough for one or two free variables
-            if (resid <= _RESIDUAL_REL * max(abs(t_val), 1.0)
+            if (np.all(np.abs(grad) <= _RESIDUAL_REL * np.array([h_abs[0, 0], g_abs[1]])[:free])
                     and hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
-                found.append((t_val, omega, sigma, resid))
+                found.append((trace(pot, N, omega, sigma, center), omega, sigma, math.hypot(*grad)))
         return min(found, key=lambda c: c[:2], default=None)
 
     # np.roots returns real roots with an imaginary part of exactly zero

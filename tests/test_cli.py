@@ -366,16 +366,16 @@ def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, cfg, name", [
-    # T ~ kappa_4 D_4 / omega^2 overflows at omega = 1e-300
+    # omega^-2 in T ~ kappa_4 D_4 / omega^2 overflows libm's pow at omega = 1e-300
     ("trace-scan", {"potential": _QUARTIC, "solver": {"dims": [8]},
                     "scan": {"omega_min": 1e-300, "omega_max": 1e300, "points": 11}},
      "trace_scan_n8.csv"),
 ])
 def test_non_finite_output_is_numerical_failure(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, cfg)
-    with pytest.warns(RuntimeWarning):
-        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "o" / name).exists()
@@ -403,6 +403,33 @@ def test_coefficients_past_one_float_frame_are_numerical_failure(tmp_path, capsy
     err = capsys.readouterr().err
     assert "numerical failure" in err and "more than one float frame" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_trace_in_the_2d_search_is_numerical_failure(tmp_path, capsys):
+    # an omega^-h of the Nelder-Mead objective overflows libm's pow
+    path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": [
+        6.165991893650534e+287, -1e+308, -5.3015644291930646e-278, -8.136968504584047e+44,
+        -9.799243241128219e-272, -1.3908417576959126e+227, 2.2530146801578686e+282]},
+        "solver": {"dim": 34, "optimize_sigma": True}})
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs, dim, omega", [
+    # kappa_0 N ~ 2e21 at sigma = 1e10 once passed a candidate 1e3 off stationary
+    ([0.0, -2e10, 1.0], 20, math.sqrt(2.0)),
+    # the minimum sits at omega = sqrt(2 kappa_2) ~ 3e-162, sigma ~ 3e181
+    ([-8.08419670499228e-152, -3.171111269230141e-142, 5e-324], 38, 3.143455569405257e-162),
+])
+def test_2d_search_reports_the_stationary_omega(tmp_path, coeffs, dim, omega):
+    path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": coeffs},
+                                   "solver": {"dim": dim, "optimize_sigma": True}})
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert read_pms(tmp_path / "o" / "pms.json")["omega"] == pytest.approx(omega, rel=1e-7)
 
 
 def test_stiff_quartic_spectrum_is_solved(tmp_path):

@@ -7,13 +7,20 @@ from scipy.linalg import eig_banded
 import varosc.eigen
 from varosc import (
     BasisConfig,
+    EigenSolution,
+    InitialGaussian,
     PolynomialPotential,
     asym_demo,
     assemble_hamiltonian,
     diagonalize,
     from_double_well,
     from_quartic,
+    make_evolution,
+    observables_series,
     pms_optimize,
+    project_shifted_gaussian,
+    solve_spectrum,
+    wavefunction_at,
 )
 from varosc.oscbasis import HamiltonianMatrix
 
@@ -45,9 +52,8 @@ def test_two_by_two_exchange_matrix():
     np.testing.assert_allclose(sol.energies, [-1.0, 1.0], rtol=1e-15)
     s = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(np.abs(sol.vectors), [[s, s], [s, s]], rtol=1e-14)
-    # sign convention: the largest-magnitude entry of each row is positive
-    # (ties resolve to the first index)
-    assert sol.vectors[0, 0] > 0 and sol.vectors[1, 0] > 0
+    # up to each row's sign: (1, -1)/sqrt 2 for E = -1, (1, 1)/sqrt 2 for E = 1
+    assert sol.vectors[0, 0] * sol.vectors[0, 1] < 0 < sol.vectors[1, 0] * sol.vectors[1, 1]
 
 
 def test_sho_matched_basis_gives_exact_ladder():
@@ -99,11 +105,22 @@ def test_deterministic_across_runs():
     assert np.array_equal(a.vectors, b.vectors)
 
 
-def test_sign_convention_rows():
+def test_row_signs_reach_no_output():
+    # diagonalize fixes no eigenvector sign: a_n d_nk, the observables' product
+    # and the wavefunction are even in the sign of each row, bit for bit
     rng = np.random.default_rng(43)
-    sol = diagonalize(wrap(random_symmetric(rng, 25)))
-    lead = np.abs(sol.vectors).argmax(axis=1)
-    assert np.all(sol.vectors[np.arange(25), lead] > 0)
+    sol = solve_spectrum(asym_demo(), 30, optimize_sigma=True).solution
+    flips = rng.choice([-1.0, 1.0], size=(30, 1))
+    flipped = EigenSolution(energies=sol.energies.copy(), vectors=flips * sol.vectors,
+                            config=sol.config, levels=sol.levels)
+    c = project_shifted_gaussian(InitialGaussian(0.5, 1.0), sol.config)
+    times, xs = np.linspace(0.0, 20.0, 301), np.linspace(-4.0, 4.0, 41)
+    states = [make_evolution(c, s) for s in (sol, flipped)]
+    assert states[0].truncation_loss == states[1].truncation_loss
+    for got, want in zip(*(observables_series(state, times) for state in states)):
+        assert np.array_equal(got, want)
+    for t in (0.0, 3.7):
+        assert np.array_equal(wavefunction_at(states[1], xs, t), wavefunction_at(states[0], xs, t))
 
 
 def test_rejects_bands_not_2d_or_not_dim_wide():

@@ -93,23 +93,20 @@ def test_trace_matches_exact_oracle(degree):
 
 @pytest.mark.parametrize("degree", [2, 4, 6, 8, 12])
 def test_trace_on_an_array_is_the_scalar_calls(degree):
-    # at omega = 2^k every omega^-h is exact, so the array and the scalar
-    # calls round alike, bit for bit; elsewhere numpy's vectorised pow may
-    # differ from libm's pow in the last bit, within the oracle's bound
+    # trace_scan is one trace call per omega, so at any omega, dyadic or not,
+    # it is T/N of the searches bit for bit, within the oracle's bound
     rng = np.random.default_rng(200 + degree)
     for _ in range(10):
         coeffs = rng.normal(size=degree + 1)
         coeffs[-1] = rng.uniform(0.01, 5.0)
         pot = PolynomialPotential(tuple(float(c) for c in coeffs))
-        dim, center = int(rng.integers(1, 301)), int(rng.integers(0, 60))
-        sigma = float(rng.uniform(-3.0, 3.0))
-        dyadic = np.ldexp(1.0, rng.integers(-30, 31, size=40))
-        got = trace(pot, dim, dyadic, sigma, center)
-        assert got.tolist() == [trace(pot, dim, w, sigma, center) for w in dyadic]
-        omegas = 10.0 ** rng.uniform(-2.0, 3.0, size=5)
-        for w, t in zip(omegas, trace(pot, dim, omegas, sigma, center)):
-            _, scale = exact_trace(pot, BasisConfig(dim, w, sigma, center))
-            assert abs(t - trace(pot, dim, w, sigma, center)) <= 1e-15 * scale
+        dim = int(rng.integers(1, 301))
+        omegas = 10.0 ** rng.uniform(-2.0, 3.0, size=40)
+        got = trace_scan(pot, dim, omegas)
+        assert got.tolist() == [trace(pot, dim, w) / dim for w in omegas.tolist()]
+        for w, t in zip(omegas[:5].tolist(), got[:5].tolist()):
+            want, scale = exact_trace(pot, BasisConfig(dim, w))
+            assert abs(t - want / dim) <= 1e-15 * scale / dim
 
 
 # ------------------------------------------------------------- closed form
