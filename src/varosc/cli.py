@@ -227,9 +227,12 @@ def cmd_spectrum(vals: dict, args) -> int:
 def cmd_trace_scan(vals: dict, args) -> int:
     pot, scan = vals["potential"], vals["scan"]
     w_lo, w_hi, omegas = scan["omega_min"], scan["omega_max"], scan["omegas"]
-    out = _outdir(vals, args)
+    # every scan and mark first, so a numerical failure makes no output directory
+    scans = []
     for tag, dim in vals["solver"]["dims"].items():
         values = trace_scan(pot, dim, omegas)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"the trace scan for dim={dim} is not finite over the scan window")
         try:
             omega_pms = pms_optimize(pot, dim).omega
         except ArithmeticError:  # the search failed: the scan goes unmarked
@@ -238,6 +241,9 @@ def cmd_trace_scan(vals: dict, args) -> int:
             print(f"warning: stationary frequency {omega_pms:.6g} lies outside "
                   f"the scan window for dim={dim}", file=sys.stderr)
             omega_pms = None
+        scans.append((tag, dim, values, omega_pms))
+    out = _outdir(vals, args)
+    for tag, dim, values, omega_pms in scans:
         path = out / f"trace_scan{tag}.csv"
         sp.write_trace_scan_csv(path, dim, omegas, values, omega_pms)
         print(f"trace-scan: wrote {path}")

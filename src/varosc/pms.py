@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .oscbasis import _block_moments
 from .potential import PolynomialPotential, _shifted_coeffs
@@ -64,15 +63,20 @@ def trace(pot: PolynomialPotential, dim: int, omega: float, sigma: float = 0.0, 
 
     with kappa the coefficients of V(x + sigma) and D_2h the block moments,
     summed exactly once per (dim, center, degree) and cached.  T is a Python
-    float, each omega^-h one libm pow (OverflowError past the float range).
-    A call costs O(deg V) whatever the block size, and checks no argument.
+    float, each omega^-h one libm pow (an OverflowError naming omega past the
+    float range).  A call costs O(deg V) whatever the block size, and checks
+    no argument.
     """
     omega = float(omega)
     kappas = _shifted_coeffs(pot.coeffs, float(sigma))[::2]
     total = 0.25 * omega * (dim * (dim + 2 * center)) + kappas[0] * dim
-    for h, d in enumerate(_block_moments(dim, center, pot.degree), 1):
-        if kappas[h] != 0.0:
-            total = total + kappas[h] * d * omega**-h
+    try:
+        for h, d in enumerate(_block_moments(dim, center, pot.degree), 1):
+            if kappas[h] != 0.0:
+                total = total + kappas[h] * d * omega**-h
+    except OverflowError:
+        raise OverflowError(f"the trace of the {dim}-state block overflows at omega = {omega!r}: "
+                            f"omega^-{h} is past the float range") from None
     return total
 
 
@@ -136,6 +140,51 @@ def _newton(pot: PolynomialPotential, dim: int, center: int, z: np.ndarray, free
     return z, g[:free], hess[:free, :free]
 
 
+def _nan_last(vertex):
+    """Sort key of a (value, point) vertex: by value, nan after everything."""
+    return math.isnan(vertex[0]), vertex[0]
+
+
+def _nelder_mead(f, z0):
+    """Minimize f over two variables from z0 by Nelder-Mead, on Python floats.
+
+    A transcription of scipy 1.17.1's `_minimize_neldermead` with its default
+    coefficients, xatol = fatol = _TOL_2D and maxiter = _MAXITER_2D (and no
+    cap on evaluations): the same initial simplex, the same expression for
+    every vertex, the same stable sort with nan last, and so the same points
+    evaluated in the same order and the same end point, bit for bit.
+    """
+    x, y = map(float, z0)
+    sim = sorted(((f(v), v) for v in [(x, y), ((1 + 0.05) * x if x != 0 else 0.00025, y),
+                                      (x, (1 + 0.05) * y if y != 0 else 0.00025)]), key=_nan_last)
+    for _ in range(_MAXITER_2D - 1):
+        (f0, s0), (f1, s1), (fw, sw) = sim
+        # a nan in either test means not converged, as np.max gives
+        if (all(abs(a - b) <= _TOL_2D for a, b in zip(s1 + sw, s0 + s0))
+                and abs(f0 - f1) <= _TOL_2D and abs(f0 - fw) <= _TOL_2D):
+            break
+        xbar = [(a + b) / 2 for a, b in zip(s0, s1)]
+        xr = tuple(2 * a - 1 * b for a, b in zip(xbar, sw))
+        fxr = f(xr)
+        if fxr < f0:
+            xe = tuple(3 * a - 2 * b for a, b in zip(xbar, sw))
+            fxe = f(xe)
+            sim[2] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < f1:
+            sim[2] = (fxr, xr)
+        else:  # contract outside the simplex, or inside when xr is no better than sw
+            outside = fxr < fw
+            xc = tuple(1.5 * a - 0.5 * b if outside else 0.5 * a + 0.5 * b for a, b in zip(xbar, sw))
+            fxc = f(xc)
+            if fxc <= fxr if outside else fxc < fw:
+                sim[2] = (fxc, xc)
+            else:  # shrink toward the best vertex
+                s1, sw = (tuple(a + 0.5 * (b - a) for a, b in zip(s0, s)) for s in (s1, sw))
+                sim[1:] = [(f(s1), s1), (f(sw), sw)]
+        sim.sort(key=_nan_last)
+    return sim[0][1]
+
+
 def _largest_turning_point(pot: PolynomialPotential) -> float:
     """Largest magnitude among the real roots of V'(x); 0 if none."""
     dcoeffs = pot.derivative_coeffs()
@@ -171,7 +220,8 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     real root) seeds Nelder-Mead in (log omega, sigma / u), which stops when
     both move, and T in units of max(1, |T|) at omega* changes, by less than
     1e-8; every end point is polished by Newton on the exact gradient and
-    Hessian.
+    Hessian.  The Nelder-Mead is `_nelder_mead`, scipy's transcribed to plain
+    floats: the same arithmetic and the same end points, bit for bit.
 
     One rule picks the result in both searches: a candidate must have a
     positive definite Hessian in the free variables, and each free gradient
@@ -234,9 +284,7 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         log_ws = np.linspace(math.log(0.1 * omega_star), math.log(10.0 * omega_star), 5)
         sigmas = np.linspace(-1.0, 1.0, 5) if x_range > 0 else np.zeros(1)
         starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
-        ends = [minimize(f2, z0, method="Nelder-Mead",
-                         options={"xatol": _TOL_2D, "fatol": _TOL_2D,
-                                  "maxiter": _MAXITER_2D}).x * [1.0, unit] for z0 in starts]
+        ends = [np.array(_nelder_mead(f2, z0)) * [1.0, unit] for z0 in starts]
         best = lowest_stationary([z for z in ends if np.all(np.isfinite(z))], 2)
         if best is None:
             raise ConvergenceError(

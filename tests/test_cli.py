@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import varosc
 from varosc.cli import main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -381,6 +385,23 @@ def test_non_finite_output_is_numerical_failure(tmp_path, capsys, command, cfg, 
     assert not (tmp_path / "o" / name).exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, named", [
+    # omega^-2 overflows libm's pow at the first grid point
+    ({"potential": _QUARTIC, "solver": {"dims": [8]},
+      "scan": {"omega_min": 1e-300, "omega_max": 10.0, "points": 50}}, "omega = 1e-300"),
+    # kappa_0 N overflows the trace at dim 8 only, after dim 1 scanned cleanly
+    ({"potential": {"kind": "coeffs", "coeffs": [2.5e307, 0.0, 1.0]}, "solver": {"dims": [1, 8]},
+      "scan": {"omega_min": 0.5, "omega_max": 8.0, "points": 11}}, "dim=8"),
+])
+def test_failed_trace_scan_makes_no_directory(tmp_path, capsys, cfg, named):
+    path = write_config(tmp_path, cfg)
+    assert main(["trace-scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and named in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infinite_pms_trace_is_numerical_failure(tmp_path, capsys):
     # kappa_0 N overflows the trace; pms.json would hold Infinity, which is not JSON
     path = write_config(tmp_path, {"potential": {"kind": "coeffs", "coeffs": [1e308, 0.0, 1.0]},
@@ -415,6 +436,7 @@ def test_overflowing_trace_in_the_2d_search_is_numerical_failure(tmp_path, capsy
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+    assert "the trace of the 34-state block overflows at omega = " in err
     assert not (tmp_path / "o").exists()
 
 
@@ -721,3 +743,11 @@ def test_readme_config_table_names_every_field():
     documented = {name for row in table.splitlines()[2:]
                   for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
     assert documented == accepted
+
+
+def test_cli_import_loads_no_optimizer():
+    # a cold start of the console script pays for no scipy.optimize import
+    code = "import sys, varosc.cli; sys.exit('scipy.optimize' in sys.modules)"
+    src = str(Path(varosc.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, timeout=120)

@@ -340,11 +340,89 @@ def test_even_single_well_runs_each_2d_start_once(monkeypatch):
     # V' has no nonzero real root, so every sigma start is 0: one Nelder-Mead run
     # per omega start, not five copies of each
     calls = []
-    inner = pms.minimize
-    monkeypatch.setattr(pms, "minimize", lambda *args, **kw: calls.append(1) or inner(*args, **kw))
+    inner = pms._nelder_mead
+    monkeypatch.setattr(pms, "_nelder_mead", lambda *args: calls.append(1) or inner(*args))
     res = pms_optimize(from_quartic(1.0, 1.0), 20, optimize_sigma=True)
     assert len(calls) == 5
     assert (res.omega, res.sigma) == (4.38798345638625, 0.0)
+
+
+def _recorded(f):
+    """f, and the points it is called at as float.hex pairs."""
+    points = []
+
+    def g(z):
+        points.append(tuple(float(v).hex() for v in z))
+        return f(z)
+    return g, points
+
+
+def assert_nelder_mead_is_scipys(f, z0):
+    """pms._nelder_mead and scipy's Nelder-Mead with pms's options evaluate f at
+    the same points, in the same order, and end at the same point, bit for bit;
+    returns scipy's result."""
+    from scipy.optimize import minimize
+
+    ours, our_points = _recorded(f)
+    end = pms._nelder_mead(ours, z0)
+    theirs, their_points = _recorded(f)
+    with np.errstate(all="ignore"):  # scipy's arrays warn on inf - inf
+        res = minimize(theirs, z0, method="Nelder-Mead", options={
+            "xatol": pms._TOL_2D, "fatol": pms._TOL_2D, "maxiter": pms._MAXITER_2D})
+    assert our_points == their_points
+    assert [v.hex() for v in end] == [v.hex() for v in res.x.tolist()]
+    return res
+
+
+def test_nelder_mead_is_scipys_on_the_pms_objective(monkeypatch):
+    # every 2D start of three random asymmetric quartics, one per block size
+    runs = []
+    inner = pms._nelder_mead
+    monkeypatch.setattr(pms, "_nelder_mead", lambda f, z0: runs.append((f, z0)) or inner(f, z0))
+    rng = np.random.default_rng(32)
+    for dim in (11, 21, 41):
+        coeffs = rng.uniform(-5.0, 5.0, 4).tolist() + [rng.uniform(0.5, 5.0)]
+        pms_optimize(PolynomialPotential(tuple(coeffs)), dim, optimize_sigma=True)
+    monkeypatch.undo()
+    assert len(runs) == 75
+    for f, z0 in runs:
+        assert_nelder_mead_is_scipys(f, z0)
+
+
+def fine_steps(z):
+    # constant on squares of side _TOL_2D, each a multiple 0, 1 or 2 of _TOL_2D
+    # near the minimum: vertices tie, and differ by exactly the tolerance
+    return pms._TOL_2D * float(math.floor(z[0] / pms._TOL_2D) ** 2
+                               + math.floor(z[1] / pms._TOL_2D) ** 2)
+
+
+def terraces(z):
+    # integer-valued rings, so a reflection and its expansion can tie
+    return float(math.floor(z[0] ** 2 + z[1] ** 2))
+
+
+def fenced_bowl(z):
+    # inf on one side of the minimum at (1, -0.8) and nan on another
+    if z[0] > 1.1:
+        return math.inf
+    if z[1] < -0.85:
+        return math.nan
+    return (z[0] - 1.0) ** 2 + 10.0 * (z[1] + 0.8) ** 2
+
+
+@pytest.mark.parametrize("f", [fine_steps, terraces, fenced_bowl])
+def test_nelder_mead_is_scipys_through_ties_inf_and_nan(f):
+    # the fixed starts put the first simplex astride the inf and the nan fence
+    rng = np.random.default_rng(7)
+    starts = [[0.0, 0.0], [1e-7, 3e-8], [1.08, 0.0], [0.0, -0.84]]
+    for z0 in np.array(starts + rng.uniform(-2.0, 2.0, (12, 2)).tolist()):
+        assert_nelder_mead_is_scipys(f, z0)
+
+
+def test_nelder_mead_is_scipys_up_to_the_iteration_cap():
+    # a plane has no minimum: the simplex grows until its vertices overflow
+    res = assert_nelder_mead_is_scipys(lambda z: z[0] + 2.0 * z[1], np.array([0.3, -0.7]))
+    assert res.nit == pms._MAXITER_2D
 
 
 def test_extreme_double_well_simplex_stops_on_relative_change(monkeypatch):
