@@ -10,12 +10,10 @@ propagated by the method of stationary states.
 
 from .eigen import DiagonalizationError, EigenSolution, diagonalize
 from .evolve import (
-    BasisResolutionError,
     EvolutionState,
     InitialGaussian,
     make_evolution,
     observables_series,
-    project_by_quadrature,
     project_shifted_gaussian,
     wavefunction_at,
 )

@@ -1,9 +1,9 @@
 """Method of stationary states for Gaussian initial wave functions.
 
-An initial state is expanded in the oscillator basis (one closed-form
-recurrence for a Gaussian at any x0 in any uncentered basis, shifted or not,
-Gauss-Hermite quadrature for anything else), rotated into the energy
-eigenbasis, and evolved by attaching phases exp(-i E_n t) with hbar = 1.
+A Gaussian initial state is expanded in the oscillator basis by one
+closed-form recurrence, for any packet center x0 in any uncentered basis,
+shifted or not, then rotated into the energy eigenbasis and evolved by
+attaching phases exp(-i E_n t) with hbar = 1.
 Observables are read back in the basis: the coefficients u(t) = D^T z(t) of
 the amplitudes z_n = a_n exp(-i E_n t) meet the bands of x + sigma and
 (x + sigma)^2, so <x> and <x^2> are short band sums, bounded for all times
@@ -17,18 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .eigen import EigenSolution
-from .oscbasis import BasisConfig, _hermite_rows, _polynomial_bands, basis_functions
+from .oscbasis import BasisConfig, _polynomial_bands, basis_functions
 from .output import FMT, write_csv
 
 __all__ = [
     "InitialGaussian",
     "EvolutionState",
-    "BasisResolutionError",
     "project_shifted_gaussian",
-    "project_by_quadrature",
     "make_evolution",
     "wavefunction_at",
     "observables_series",
@@ -44,10 +41,6 @@ _MODE_CUTOFF = 1e-14
 # and the amplitude arrays are at most N x _TIME_BLOCK complex however long the
 # time grid is
 _TIME_BLOCK = 256
-
-
-class BasisResolutionError(ArithmeticError):
-    """The truncated basis cannot resolve the requested initial state."""
 
 
 @dataclass(frozen=True)
@@ -68,10 +61,6 @@ class InitialGaussian:
             )
         if not math.isfinite(self.x0):
             raise ValueError(f"packet center must be finite, got {self.x0}")
-
-    def __call__(self, x):
-        pref = (self.width_param / (2.0 * math.pi)) ** 0.25
-        return pref * np.exp(-self.width_param * (np.asarray(x, float) - self.x0) ** 2 / 4.0)
 
 
 def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarray:
@@ -97,7 +86,7 @@ def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarr
     if basis.center != 0:
         raise ValueError(
             f"the Gaussian closed form assumes an uncentered basis (center={basis.center}); "
-            "project by quadrature instead"
+            "an evolution solves the lowest block, at center 0"
         )
     w0 = g.width_param / 2.0
     omega = basis.omega
@@ -114,37 +103,6 @@ def project_shifted_gaussian(g: InitialGaussian, basis: BasisConfig) -> np.ndarr
         c[1] = (v / math.sqrt(2.0)) * c[0]
     for n in range(1, basis.dim - 1):
         c[n + 1] = ((v / math.sqrt(2.0)) * c[n] + t * math.sqrt(n) * c[n - 1]) / math.sqrt(n + 1.0)
-    return c
-
-
-def project_by_quadrature(psi0, basis: BasisConfig, n_nodes: int | None = None) -> np.ndarray:
-    """Generic projection c_n = integral phi_n(x) psi0(x) dx by Gauss-Hermite.
-
-    psi0 must decay at least as fast as some Gaussian.  The quadrature weight
-    is matched to the basis exponent: with y = alpha x the integrand becomes
-    exp(-y^2) times a slowly growing factor, which converges geometrically.
-    The half-weight exp(y^2/2) is folded against the basis exponential so no
-    intermediate overflows.  For a shifted basis, psi0 is taken in the
-    original coordinate and sampled at x + sigma.
-
-    Raises BasisResolutionError when the last coefficient carries more than
-    1e-6 of probability, the signature of an under-resolved basis.
-    """
-    if n_nodes is None:
-        n_nodes = basis.center + basis.dim + 40
-    alpha = math.sqrt(basis.omega)
-    y, w = roots_hermite(n_nodes)
-    x = y / alpha
-    # p_n(y) = phi_n(x) e^{y^2/2} / sqrt(alpha): the Hermite polynomial parts
-    p = _hermite_rows(basis.center + basis.dim, y, np.full(y.size, math.pi**-0.25))
-    samples = np.asarray(psi0(x + basis.sigma), dtype=float)
-    t = w * np.exp(y * y / 2.0) * samples
-    c = (p[basis.center:, :] @ t) / math.sqrt(alpha)
-    if c[-1] ** 2 > 1e-6:
-        raise BasisResolutionError(
-            f"last basis coefficient carries |c|^2 = {c[-1]**2:.3e} > 1e-6; "
-            "the basis is too small (or too narrow) for this initial state"
-        )
     return c
 
 

@@ -19,7 +19,7 @@ is omega (n + 1/2) on the diagonal plus one such polynomial, of half
 bandwidth deg V; it stays in band storage, which is what the eigensolver
 takes, and no dense matrix is formed.  The evolution's <x> and <x^2> are
 read from the bands of two more polynomials.  The tests check every element
-against a closed-form summation and Gauss-Hermite quadrature.
+against a closed-form summation and a Gauss-Hermite rule.
 """
 from __future__ import annotations
 
@@ -162,32 +162,24 @@ def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> Hamilton
     return HamiltonianMatrix(bands=bands[:cfg.dim], config=cfg)
 
 
-def _hermite_rows(nmax: int, y: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """Rows h_0..h_{nmax-1} of the normalized Hermite recurrence at points y.
-
-        h_1(y) = sqrt(2) y h_0(y),
-        h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y),
-
-    started from the caller's row h0: pi^(-1/4) exp(-y^2/2) gives the
-    Hermite functions, pi^(-1/4) alone their polynomial parts.  No
-    factorials are formed, and every row stays O(1) times h0.
-    """
-    vals = np.zeros((nmax, y.size))
-    vals[0] = h0
-    if nmax > 1:
-        vals[1] = math.sqrt(2.0) * y * vals[0]
-        for n in range(1, nmax - 1):
-            vals[n + 1] = y * math.sqrt(2.0 / (n + 1)) * vals[n] - math.sqrt(n / (n + 1.0)) * vals[n - 1]
-    return vals
-
-
 def basis_functions(nmax: int, omega: float, x) -> np.ndarray:
     """Values phi_n(x) for n = 0..nmax-1, shape (nmax, len(x)).
 
     phi_n(x) = sqrt(alpha) h_n(alpha x), with h_n the normalized Hermite
-    functions from the three-term recurrence of _hermite_rows.
+    functions of the three-term recurrence
+
+        h_0(y) = pi^(-1/4) exp(-y^2/2),   h_1(y) = sqrt(2) y h_0(y),
+        h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y).
+
+    No factorials are formed, and every row stays O(1) times h_0.
     """
     _check_omega(omega)
     alpha = math.sqrt(omega)
     y = alpha * np.atleast_1d(np.asarray(x, dtype=float))
-    return math.sqrt(alpha) * _hermite_rows(nmax, y, math.pi**-0.25 * np.exp(-0.5 * y * y))
+    vals = np.zeros((nmax, y.size))
+    vals[0] = math.pi**-0.25 * np.exp(-0.5 * y * y)
+    if nmax > 1:
+        vals[1] = math.sqrt(2.0) * y * vals[0]
+        for n in range(1, nmax - 1):
+            vals[n + 1] = y * math.sqrt(2.0 / (n + 1)) * vals[n] - math.sqrt(n / (n + 1.0)) * vals[n - 1]
+    return math.sqrt(alpha) * vals

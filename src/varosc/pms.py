@@ -204,7 +204,8 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     magnitude; omega, sigma and T map back as 2^2m omega', 2^-m sigma' and
     2^2m T'.  The map is exact, so V written with x -> 2^k x gives the result
     of V bit for bit rescaled.  Coefficients that no m brings into the float
-    range (one overflows, or the leading one rounds to 0) raise ConvergenceError.
+    range (one overflows, or the leading one rounds to 0) raise ConvergenceError;
+    a trace that overflows in the 2D search names the caller's omega.
 
     At sigma = 0 the stationary frequencies are the positive roots of the
     polynomial omega^(H+1) dT/domega (2H = deg V),
@@ -276,7 +277,12 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         scale = max(1.0, abs(best[0]))
 
         def f2(z):
-            return trace(pot, N, math.exp(z[0]), unit * z[1], center) / scale
+            omega = math.exp(z[0])
+            try:
+                return trace(pot, N, omega, unit * z[1], center) / scale
+            except OverflowError as exc:  # name the caller's omega, not the frame's
+                raise OverflowError(str(exc).replace(repr(omega), f"{math.ldexp(omega, 2 * m)!r} "
+                                                     f"({omega!r} in x = 2^{-m} y)", 1)) from None
 
         omega_star = best[1]
         x_range = _largest_turning_point(pot)

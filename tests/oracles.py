@@ -20,7 +20,9 @@ on an FFT grid, with no basis or eigenpairs.  eigenbasis_position_power
 rotates the dense x^p into the eigenbasis, for the reference sums over
 pairs of eigenstates that the evolution kernel itself never forms.
 dvr_levels is the benchmark's sinc-DVR spectrum, which shares no code with
-the package.
+the package.  project_by_quadrature is the generic Gauss-Hermite projection
+that the closed-form Gaussian coefficients are checked against; gaussian
+samples the packet it projects.
 """
 import functools
 import importlib.util
@@ -35,6 +37,7 @@ import numpy as np
 from scipy.special import eval_hermite, gammaln, roots_hermite
 
 from varosc import basis_functions
+from varosc.evolve import InitialGaussian
 from varosc.oscbasis import _check_omega, _polynomial_bands
 
 
@@ -76,6 +79,51 @@ def gh_overlap(psi0, omega: float, n: int, lo: float, hi: float,
 
     x = np.linspace(lo, hi, points)
     return float(simpson(hermite_function(n, omega, x) * psi0(x), x=x))
+
+
+def gaussian(width: float, x0: float = 0.0):
+    """The normalized Gaussian (width/2pi)^(1/4) exp(-width (x-x0)^2 / 4) as a function of x."""
+    pref = (width / (2.0 * math.pi)) ** 0.25
+    return lambda x: pref * np.exp(-width * (np.asarray(x, float) - x0) ** 2 / 4.0)
+
+
+def project_by_quadrature(psi0, basis, n_nodes: int | None = None) -> np.ndarray:
+    """Generic projection c_n = integral phi_n(x) psi0(x) dx by Gauss-Hermite.
+
+    psi0 is a function of x, or an InitialGaussian, which is sampled through
+    gaussian(); it must decay at least as fast as some Gaussian.  The
+    quadrature weight is matched to the basis exponent: with y = alpha x the
+    integrand becomes exp(-y^2) times a slowly growing factor, which converges
+    geometrically.  The half-weight exp(y^2/2) is folded against the basis
+    exponential, so the Hermite rows are their polynomial parts, from the
+    normalized three-term recurrence started at pi^(-1/4).  For a shifted
+    basis, psi0 is taken in the original coordinate and sampled at x + sigma.
+
+    Raises ArithmeticError when the last coefficient carries more than 1e-6
+    of probability, the signature of an under-resolved basis.
+    """
+    if isinstance(psi0, InitialGaussian):
+        psi0 = gaussian(psi0.width_param, psi0.x0)
+    nmax = basis.center + basis.dim
+    if n_nodes is None:
+        n_nodes = nmax + 40
+    alpha = math.sqrt(basis.omega)
+    y, w = roots_hermite(n_nodes)
+    # p[n] = phi_n(x) e^{y^2/2} / sqrt(alpha) at x = y / alpha
+    p = np.zeros((nmax, y.size))
+    p[0] = math.pi**-0.25
+    if nmax > 1:
+        p[1] = math.sqrt(2.0) * y * p[0]
+    for n in range(1, nmax - 1):
+        p[n + 1] = y * math.sqrt(2.0 / (n + 1)) * p[n] - math.sqrt(n / (n + 1.0)) * p[n - 1]
+    samples = np.asarray(psi0(y / alpha + basis.sigma), dtype=float)
+    c = (p[basis.center:, :] @ (w * np.exp(y * y / 2.0) * samples)) / math.sqrt(alpha)
+    if c[-1] ** 2 > 1e-6:
+        raise ArithmeticError(
+            f"last basis coefficient carries |c|^2 = {c[-1]**2:.3e} > 1e-6; "
+            "the basis is too small (or too narrow) for this initial state"
+        )
+    return c
 
 
 def literal_centered_coeffs(width: float, omega: float, dim: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from varosc.evolve import (
     InitialGaussian,
     make_evolution,
     observables_series,
-    project_by_quadrature,
     project_shifted_gaussian,
 )
 
@@ -23,6 +22,7 @@ from oracles import (
     gh_position_block,
     position_power_closed_form,
     position_power_matrix,
+    project_by_quadrature,
 )
 
 QUARTIC = v.from_quartic(1.0, 1000.0)
@@ -172,7 +172,7 @@ def test_criterion_08_projection_completeness(dwell_solutions):
         losses[label] = 1.0 - total
         assert total <= 1.0 + 1e-12
         # the wide packets under-resolve an 80-state block, which the
-        # quadrature path correctly signals; gate the closed form against
+        # quadrature oracle's guard signals; gate the closed form against
         # quadrature on a doubled block instead (same recurrence, same
         # leading coefficients)
         c1_wide = project_shifted_gaussian(g, wide)

@@ -341,33 +341,71 @@ def test_far_shifted_packet_reports_its_loss(tmp_path, capsys):
 
 def test_shifted_basis_evolution_needs_no_quadrature(tmp_path, monkeypatch):
     # asym_demo's PMS basis is shifted (sigma = -3.595); the closed form
-    # serves it, and quadrature runs only when the config asks for it
+    # serves it, once per width, even when the config asks for quadrature
     import varosc.evolve
 
-    def never(*args, **kwargs):
-        raise AssertionError("projected by quadrature")
-
-    monkeypatch.setattr(varosc.evolve, "project_by_quadrature", never)
+    calls = []
+    closed_form = varosc.evolve.project_shifted_gaussian
+    monkeypatch.setattr(varosc.evolve, "project_shifted_gaussian",
+                        lambda *args: calls.append(args) or closed_form(*args))
     path = write_config(tmp_path, {
         "potential": {"kind": "asym_demo"}, "solver": {"dim": 40, "optimize_sigma": True},
         "evolution": {"initial": "shifted", "x0": -3.0, "widths": [60.0],
-                      "t_max": 1.0, "t_step": 0.5},
+                      "t_max": 1.0, "t_step": 0.5, "quadrature": True},
     })
     assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1 and calls[0][1].sigma < -3.0
     header = (tmp_path / "o" / "observables.csv").read_text().splitlines()[0]
     assert float(header.split("=")[1]) < 1e-12
 
 
-def test_unresolved_evolution_is_numerical_failure(tmp_path, capsys):
+def test_unresolved_evolution_reports_its_loss(tmp_path):
+    # a 4-state basis holds little of the packet 5 off its center: a run
+    # that reports the closed form's loss, not a failure
+    from varosc import from_double_well, solve_spectrum
+    from varosc.evolve import InitialGaussian, make_evolution, project_shifted_gaussian
+
+    width = 0.2041241452319315
     path = write_config(tmp_path, {
         "potential": {"kind": "double_well", "lambda": 0.01, "a": 5.0},
         "solver": {"dim": 4},
-        "evolution": {"initial": "shifted", "x0": 5.0,
-                      "widths": [0.2041241452319315],
+        "evolution": {"initial": "shifted", "x0": 5.0, "widths": [width],
                       "t_max": 1.0, "t_step": 0.5, "quadrature": True},
     })
-    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    sol = solve_spectrum(from_double_well(0.01, 5.0), 4).solution
+    loss = make_evolution(project_shifted_gaussian(InitialGaussian(width, 5.0), sol.config),
+                          sol).truncation_loss
+    assert loss > 0.01
+    header = (tmp_path / "o" / "observables.csv").read_text().splitlines()[0]
+    assert header == f"# truncation_loss={loss:.17g}"
+
+
+@pytest.mark.parametrize("cfg, loss", [
+    # Gauss-Hermite at N + 40 nodes overflowed exp(y^2/2) here: exit 3, empty directory
+    ({"potential": {"kind": "coeffs", "coeffs": [0.0, 0.0, 0.5]}, "solver": {"dim": 700},
+      "evolution": {"initial": "centered", "widths": [2.0], "t_max": 1.0, "t_step": 0.5}},
+     None),
+    # and it lost this narrow packet whole: truncation_loss=1, exit 0
+    ({"potential": {"kind": "double_well", "lambda": 1.0, "a": 3.0}, "solver": {"dim": 40},
+      "evolution": {"initial": "centered", "widths": [1e6], "t_max": 1.0, "t_step": 0.5}},
+     "0.98195576227188874"),
+], ids=["harmonic_N700", "narrow_packet"])
+def test_quadrature_flag_is_ignored(tmp_path, capsys, cfg, loss):
+    note = "evolution.quadrature is ignored: every Gaussian is projected in closed form"
+    outputs = {}
+    for flag in (False, True):
+        path = write_config(tmp_path, {**cfg, "evolution": {**cfg["evolution"], "quadrature": flag}})
+        out = tmp_path / f"o{flag}"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        assert (note in capsys.readouterr().err) == flag
+        outputs[flag] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert outputs[True] == outputs[False]
+    header = outputs[True]["observables.csv"].decode().splitlines()[0]
+    if loss is None:
+        assert float(header.split("=")[1]) < 1e-12
+    else:
+        assert header == f"# truncation_loss={loss}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -437,6 +475,9 @@ def test_overflowing_trace_in_the_2d_search_is_numerical_failure(tmp_path, capsy
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
     assert "the trace of the 34-state block overflows at omega = " in err
+    # the omega named is the caller's, with the solve frame's value beside it
+    caller, frame, m = re.search(r"omega = (\S+) \((\S+) in x = 2\^-(\d+) y\)", err).groups()
+    assert m == "118" and float(caller) == math.ldexp(float(frame), 2 * int(m))
     assert not (tmp_path / "o").exists()
 
 
@@ -746,8 +787,10 @@ def test_readme_config_table_names_every_field():
 
 
 def test_cli_import_loads_no_optimizer():
-    # a cold start of the console script pays for no scipy.optimize import
-    code = "import sys, varosc.cli; sys.exit('scipy.optimize' in sys.modules)"
+    # a cold start of the console script pays for no scipy.optimize or
+    # scipy.special import
+    code = ("import sys, varosc.cli; "
+            "sys.exit(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))")
     src = str(Path(varosc.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                    check=True, timeout=120)

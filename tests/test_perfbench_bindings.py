@@ -6,7 +6,13 @@ rename here would make a benchmark metric read 0 or fail the benchmark run,
 and the benchmark's own self-test is not part of this suite.
 """
 import importlib
+import importlib.util
 import inspect
+import json
+import sys
+from pathlib import Path
+
+import pytest
 
 import varosc.evolve
 import varosc.pms
@@ -14,6 +20,7 @@ import varosc.spectrum
 from varosc import BasisConfig, PolynomialPotential, assemble_hamiltonian, asym_demo, from_quartic
 
 LAYERS = ("cli", "potential", "pms", "oscbasis", "eigen", "spectrum", "evolve")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def params(fn):
@@ -63,3 +70,26 @@ def test_pms_search_calls_the_module_trace_and_builds_no_config(monkeypatch):
     varosc.pms.pms_optimize(asym_demo(), 11, optimize_sigma=True)
     assert calls["config"] == 0
     assert calls["trace"] > 100
+
+
+def test_every_benchmark_config_passes_the_schema(monkeypatch):
+    # a field the schema drops, or a bound it tightens, fails the benchmark
+    # jobs that set it; loaded by file path, as perfbench is not a package
+    # (its dataclasses look their module up in sys.modules)
+    from varosc.cli import ConfigError, _validate
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    jobs = [job for name in workloads.WORKLOADS for cycle in (0, 1)
+            for job in workloads.cycle_jobs(name, 1, cycle)]
+    assert len(jobs) == 64
+    for job in jobs:
+        cfg = (json.loads((ROOT / "recipes" / f"{job.recipe}.json").read_text()) if job.recipe
+               else json.loads(job.config_bytes()))
+        try:
+            _validate(job.command, cfg)
+        except ConfigError as exc:
+            pytest.fail(f"{job.label}: {exc}")
