@@ -220,9 +220,8 @@ def wavefunction_at(state: EvolutionState, x, t: float) -> complex | np.ndarray:
 
     x is the original coordinate; the basis sees x - sigma.
     """
-    sol, cfg = state.solution, state.solution.config
-    xs = np.atleast_1d(np.asarray(x, dtype=float)) - cfg.sigma
-    phi = basis_functions(cfg.center + cfg.dim, cfg.omega, xs)[cfg.center:, :]
+    sol = state.solution
+    phi = basis_functions(sol.config, x)
     psi = ((state.a * np.exp(-1j * sol.energies * t)) @ sol.vectors) @ phi
     if np.ndim(x) == 0:
         return complex(psi[0])

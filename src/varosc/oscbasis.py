@@ -18,8 +18,9 @@ p^2/2 = omega (n + 1/2) - (omega^2/2) x^2, so the Hamiltonian H = p^2/2 + V
 is omega (n + 1/2) on the diagonal plus one such polynomial, of half
 bandwidth deg V; it stays in band storage, which is what the eigensolver
 takes, and no dense matrix is formed.  The evolution's <x> and <x^2> are
-read from the bands of two more polynomials.  The tests check every element
-against a closed-form summation and a Gauss-Hermite rule.
+read from the bands of two more polynomials, and its wave function from
+basis_functions, phi_n(x - sigma) over one BasisConfig's block.  The tests
+check every element against a closed-form summation and a Gauss-Hermite rule.
 """
 from __future__ import annotations
 
@@ -87,11 +88,6 @@ class HamiltonianMatrix:
         self.bands.flags.writeable = False
 
 
-def _check_omega(omega: float):
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError(f"basis frequency must be positive and finite, got {omega}")
-
-
 def _polynomial_bands(coeffs, omega: float, dim: int, center: int) -> np.ndarray:
     """Upper bands out[k, i] = P(x)_{center+i, center+i+k}, k = 0..p, of
     P(x) = sum_j coeffs[j] x^j with p = len(coeffs) - 1.
@@ -153,33 +149,38 @@ def assemble_hamiltonian(pot: PolynomialPotential, cfg: BasisConfig) -> Hamilton
     makes p^2/2 = omega (n + 1/2) - (omega^2/2) x^2, so H is omega (n + 1/2)
     on the diagonal plus the polynomial V(x + sigma) - (omega^2/2) x^2, whose
     bands come from one Horner pass.  H has half bandwidth kd = deg V >= 2;
-    the (kd+1) x dim bands are trimmed to at most dim rows and returned as is.
+    the (kd+1) x dim bands are trimmed to at most dim rows and returned as is,
+    or raise OverflowError when an element is past the float range.
     """
     coeffs = _shifted_coeffs(pot.coeffs, cfg.sigma)
     coeffs[2] -= 0.5 * cfg.omega * cfg.omega
-    bands = _polynomial_bands(coeffs, cfg.omega, cfg.dim, cfg.center)
-    bands[0] += cfg.omega * (cfg.center + np.arange(cfg.dim) + 0.5)
-    return HamiltonianMatrix(bands=bands[:cfg.dim], config=cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = _polynomial_bands(coeffs, cfg.omega, cfg.dim, cfg.center)[:cfg.dim]
+        bands[0] += cfg.omega * (cfg.center + np.arange(cfg.dim) + 0.5)
+    if not np.isfinite(bands).all():
+        raise OverflowError(f"the {cfg.dim}-state Hamiltonian's bands pass the float range "
+                            f"at omega = {cfg.omega!r}, sigma = {cfg.sigma!r}")
+    return HamiltonianMatrix(bands=bands, config=cfg)
 
 
-def basis_functions(nmax: int, omega: float, x) -> np.ndarray:
-    """Values phi_n(x) for n = 0..nmax-1, shape (nmax, len(x)).
+def basis_functions(cfg: BasisConfig, x) -> np.ndarray:
+    """Values phi_n(x - sigma) for n in [center, center + dim), shape (dim, len(x)).
 
     phi_n(x) = sqrt(alpha) h_n(alpha x), with h_n the normalized Hermite
     functions of the three-term recurrence
 
         h_0(y) = pi^(-1/4) exp(-y^2/2),   h_1(y) = sqrt(2) y h_0(y),
-        h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y).
+        h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y)
 
-    No factorials are formed, and every row stays O(1) times h_0.
+    run from n = 0.  No factorials are formed, and every row stays O(1) times h_0.
     """
-    _check_omega(omega)
-    alpha = math.sqrt(omega)
-    y = alpha * np.atleast_1d(np.asarray(x, dtype=float))
+    alpha = math.sqrt(cfg.omega)
+    y = alpha * (np.atleast_1d(np.asarray(x, dtype=float)) - cfg.sigma)
+    nmax = cfg.center + cfg.dim
     vals = np.zeros((nmax, y.size))
     vals[0] = math.pi**-0.25 * np.exp(-0.5 * y * y)
     if nmax > 1:
         vals[1] = math.sqrt(2.0) * y * vals[0]
         for n in range(1, nmax - 1):
             vals[n + 1] = y * math.sqrt(2.0 / (n + 1)) * vals[n] - math.sqrt(n / (n + 1.0)) * vals[n - 1]
-    return math.sqrt(alpha) * vals
+    return math.sqrt(alpha) * vals[cfg.center:]

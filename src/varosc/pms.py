@@ -186,9 +186,13 @@ def _nelder_mead(f, z0):
 
 
 def _largest_turning_point(pot: PolynomialPotential) -> float:
-    """Largest magnitude among the real roots of V'(x); 0 if none."""
-    dcoeffs = pot.derivative_coeffs()
-    roots = np.roots(list(reversed(dcoeffs)))
+    """Largest magnitude among the real roots of V'(x); 0 if none.  Roots past
+    the float range, where np.roots' quotients overflow, raise ConvergenceError."""
+    try:
+        with np.errstate(over="raise"):  # V'(x), highest power first
+            roots = np.roots([j * c for j, c in enumerate(pot.coeffs)][:0:-1])
+    except (FloatingPointError, np.linalg.LinAlgError):
+        raise ConvergenceError("the turning points of V lie past the float range") from None
     real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
     if real.size == 0:
         return 0.0
@@ -230,7 +234,8 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
     d/dlog(omega) Hessian entry, and the d/dsigma gradient entry, of |V|
     at (omega, |sigma|)); the lowest trace wins, then the lowest omega.
     When every odd coefficient of V is zero, T is even in sigma and |sigma|
-    is reported, so mirror images tie exactly.
+    is reported, so mirror images tie exactly; and (omega*, 0), where
+    dT/dsigma and its gate scale are both exactly 0, joins the 2D candidates.
 
     stationarity_residual is 2^2m times the norm of the exact gradient of T'
     in log(omega) (and sigma') at the result.  A nonzero center optimizes the
@@ -291,6 +296,8 @@ def pms_optimize(pot: PolynomialPotential, N: int, optimize_sigma: bool = False,
         sigmas = np.linspace(-1.0, 1.0, 5) if x_range > 0 else np.zeros(1)
         starts = [np.array([lw, s]) for lw in log_ws for s in sigmas]
         ends = [np.array(_nelder_mead(f2, z0)) * [1.0, unit] for z0 in starts]
+        if even:  # dT/dsigma and its gate scale are both exactly 0 at sigma = 0
+            ends.append(np.array([math.log(omega_star), 0.0]))
         best = lowest_stationary([z for z in ends if np.all(np.isfinite(z))], 2)
         if best is None:
             raise ConvergenceError(

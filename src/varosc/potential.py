@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "PolynomialPotential",
     "from_quartic",
@@ -67,10 +65,6 @@ class PolynomialPotential:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> float:
-        return self.coeffs[-1]
-
     def shift(self, sigma: float) -> "PolynomialPotential":
         """Return the potential V(x + sigma), re-expanded exactly.
 
@@ -78,19 +72,6 @@ class PolynomialPotential:
         path; degree and leading coefficient are unchanged.
         """
         return PolynomialPotential(tuple(_shifted_coeffs(self.coeffs, sigma)))
-
-    def evaluate(self, x):
-        """Evaluate V(x) by Horner's rule; accepts scalars or arrays."""
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for kj in reversed(self.coeffs):
-            acc = acc * x + kj
-        if np.ndim(x) == 0:
-            return float(acc)
-        return acc
-
-    def derivative_coeffs(self) -> tuple[float, ...]:
-        """Coefficients of V'(x)."""
-        return tuple(j * kj for j, kj in enumerate(self.coeffs) if j >= 1)
 
 
 def from_quartic(m_squared: float, g: float, sign: int = 1) -> PolynomialPotential:

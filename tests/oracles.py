@@ -36,9 +36,9 @@ import mpmath
 import numpy as np
 from scipy.special import eval_hermite, gammaln, roots_hermite
 
-from varosc import basis_functions
+from varosc import BasisConfig, basis_functions
 from varosc.evolve import InitialGaussian
-from varosc.oscbasis import _check_omega, _polynomial_bands
+from varosc.oscbasis import _polynomial_bands
 
 
 def hermite_function(n: int, omega: float, x: np.ndarray) -> np.ndarray:
@@ -302,7 +302,7 @@ def basis_function_value(n: int, omega: float, x) -> float | np.ndarray:
     """Single basis function phi_n evaluated at x (scalar or array)."""
     if n < 0:
         raise ValueError(f"basis index must be >= 0, got {n}")
-    vals = basis_functions(n + 1, omega, x)[n]
+    vals = basis_functions(BasisConfig(dim=n + 1, omega=omega), x)[n]
     if np.ndim(x) == 0:
         return float(vals[0])
     return vals
@@ -498,7 +498,7 @@ def position_power_matrix(p: int, omega: float, dim: int, center: int = 0) -> np
     symmetric, banded with half bandwidth p, and with exact zeros wherever
     p + n + l is odd.
     """
-    _check_omega(omega)
+    BasisConfig(dim=dim, omega=omega, center=center)  # the package's checks
     if p < 0:
         raise ValueError(f"power must be >= 0, got {p}")
     return _densify(_polynomial_bands((0.0,) * p + (1.0,), omega, dim, center))
@@ -508,7 +508,7 @@ def momentum_squared_matrix(omega: float, dim: int, center: int = 0) -> np.ndarr
     """Matrix of p^2 from its closed form, which the package never builds:
     diagonal omega (2n + 1)/2, second off-diagonal -(omega/2) sqrt((n+1)(n+2)),
     and a zero first off-diagonal by parity."""
-    _check_omega(omega)
+    BasisConfig(dim=dim, omega=omega, center=center)  # the package's checks
     n = center + np.arange(dim, dtype=float)
     out = np.diag(omega * (2.0 * n + 1.0) / 2.0)
     i = np.arange(max(dim - 2, 0))

@@ -495,6 +495,42 @@ def test_2d_search_reports_the_stationary_omega(tmp_path, coeffs, dim, omega):
     assert read_pms(tmp_path / "o" / "pms.json")["omega"] == pytest.approx(omega, rel=1e-7)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, a, dim", [(1e4, 1.0, 20), (10.0, 0.5, 80), (100.0, 2.0, 20),
+                                         (1e3, 2.0, 40)])
+def test_even_potential_2d_search_keeps_its_sigma_0_minimum(tmp_path, lam, a, dim):
+    # every Newton end of the multistart stops at a tiny nonzero |sigma|, where
+    # the sigma gate of an even V is O(sigma) too; the sigma = 0 candidate passes
+    path = write_config(tmp_path, {"potential": {"kind": "double_well", "lambda": lam, "a": a},
+                                   "solver": {"dim": dim, "optimize_sigma": True}})
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    pms = read_pms(tmp_path / "o" / "pms.json")
+    assert pms["sigma"] == 0.0
+    assert pms["omega"] == varosc.pms_optimize(varosc.from_double_well(lam, a), dim).omega
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, named", [
+    # V' over its leading coefficient ~1e-144 (in the solve frame) overflows
+    ({"potential": {"kind": "coeffs", "coeffs": [
+        4.303579301388902e+150, -4.882287727156309e+173, 5.842605148497314e+27,
+        2.0181592401946077e+255, 9.737960046175612e-104]},
+      "solver": {"dim": 30, "optimize_sigma": True}}, "turning points of V lie past the float range"),
+    # x = 2^99 y sends kappa_3 to ~2^1023, so 3 kappa_3 in V' is inf before np.roots
+    ({"potential": {"kind": "coeffs", "coeffs": [0.0, 0.0, 0.0, 2.0**528, 2.0**-600]},
+      "solver": {"dim": 10, "optimize_sigma": True}}, "turning points of V lie past the float range"),
+    # the PMS is finite, but kappa_1 x past 1e308 overflows the Horner bands
+    ({"potential": {"kind": "coeffs", "coeffs": [0.0, 1.7e308, 1.0]}, "solver": {"dim": 10}},
+     "the 10-state Hamiltonian's bands pass the float range at omega = 1.41421356"),
+])
+def test_overflow_past_the_pms_is_numerical_failure(tmp_path, capsys, cfg, named):
+    path = write_config(tmp_path, cfg)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and named in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_stiff_quartic_spectrum_is_solved(tmp_path):
     # the shipped quartic with m2 = 1e12: PMS frequency ~ m = 1e6, levels
     # ~ m (n + 1/2), far outside any fixed frequency window

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from varosc import (
     BasisConfig,
@@ -167,7 +168,7 @@ def test_initial_gaussian_rejects_non_finite(width, x0):
 
 def test_quadrature_projects_basis_function_to_unit_vector():
     basis = BasisConfig(dim=12, omega=1.4)
-    psi = lambda x: basis_functions(4, basis.omega, x)[3]
+    psi = lambda x: basis_functions(BasisConfig(dim=4, omega=basis.omega), x)[3]
     c = project_by_quadrature(psi, basis)
     want = np.zeros(12)
     want[3] = 1.0
@@ -462,7 +463,7 @@ def test_energy_expectation_matches_quadrature():
     y, w = roots_hermite(240)
     x = y / alpha
     b = state.a @ state.solution.vectors  # basis-coefficient view of the state
-    phi = basis_functions(cfg.dim + 1, cfg.omega, x)
+    phi = basis_functions(BasisConfig(dim=cfg.dim + 1, omega=cfg.omega), x)
     psi = b @ phi[:cfg.dim]
     # phi_k' = alpha (sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1})
     dpsi = np.zeros_like(psi)
@@ -471,7 +472,7 @@ def test_energy_expectation_matches_quadrature():
         if k > 0:
             term = term + math.sqrt(k / 2.0) * phi[k - 1]
         dpsi += b[k] * alpha * term
-    v_vals = DWELL.evaluate(x)
+    v_vals = polyval(x, DWELL.coeffs)
     integrand = 0.5 * dpsi**2 + v_vals * psi**2
     quad = float(np.sum(w * np.exp(y * y) * integrand) / alpha)
     assert spectral == pytest.approx(quad, rel=1e-8)
@@ -507,7 +508,7 @@ def test_wavefunction_at_time_zero_matches_projection():
     cfg = rep.solution.config
     xs = np.linspace(-8.0, 8.0, 17)
     c = state.a @ state.solution.vectors
-    direct = c @ basis_functions(cfg.dim, cfg.omega, xs)
+    direct = c @ basis_functions(cfg, xs)
     psi = wavefunction_at(state, xs, 0.0)
     np.testing.assert_allclose(psi.real, direct, atol=1e-10)
     np.testing.assert_allclose(psi.imag, np.zeros_like(direct), atol=1e-12)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval
 
 import varosc
 from varosc.cli import _validate, main
@@ -86,9 +87,9 @@ def _table(text: str):
 
 def _v_min(pot) -> float:
     """Global minimum of a confining polynomial over the real line."""
-    roots = np.roots(pot.derivative_coeffs()[::-1])
+    roots = np.roots(polyder(pot.coeffs)[::-1])
     real = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))].real
-    return min(pot.evaluate(float(x)) for x in real)
+    return min(float(polyval(float(x), pot.coeffs)) for x in real)
 
 
 def _scale(e: float, v_min: float) -> float:

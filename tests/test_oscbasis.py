@@ -264,7 +264,7 @@ def test_normalization_by_quadrature():
     alpha = math.sqrt(omega)
     y, w = roots_hermite(80)
     for n in (5, 50):
-        vals = basis_functions(n + 1, omega, y / alpha)[n]
+        vals = basis_functions(BasisConfig(dim=n + 1, omega=omega), y / alpha)[n]
         # integral phi_n^2 dx with the Gaussian weight folded back out
         norm = np.sum(w * np.exp(y * y) * vals**2) / alpha
         assert norm == pytest.approx(1.0, abs=1e-12)
@@ -274,10 +274,19 @@ def test_basis_functions_match_explicit_hermite():
     from oracles import hermite_function
 
     xs = np.linspace(-4.0, 4.0, 41)
-    vals = basis_functions(20, 1.3, xs)
+    vals = basis_functions(BasisConfig(dim=20, omega=1.3), xs)
     for n in (0, 3, 11, 19):
         np.testing.assert_allclose(vals[n], hermite_function(n, 1.3, xs),
                                    rtol=1e-12, atol=1e-13)
+
+
+def test_basis_functions_read_the_block_and_shift_of_their_config():
+    # rows center..center+dim-1 of the recurrence, at x - sigma
+    xs = np.linspace(-3.0, 5.0, 9)
+    full = basis_functions(BasisConfig(dim=12, omega=0.7), xs - 1.25)
+    block = basis_functions(BasisConfig(dim=5, omega=0.7, sigma=1.25, center=7), xs)
+    assert block.shape == (5, 9)
+    assert np.array_equal(block, full[7:])
 
 
 def test_basis_config_validation():
@@ -295,9 +304,8 @@ def test_basis_config_validation():
 def test_basis_config_rejects_non_finite(omega, sigma):
     with pytest.raises(ValueError):
         BasisConfig(dim=5, omega=omega, sigma=sigma)
-    if not math.isfinite(omega):  # the bare matrix and function builders agree
+    if not math.isfinite(omega):  # the oracles' bare matrix builders agree
         for build in (lambda: position_power_matrix(2, omega, 3),
-                      lambda: momentum_squared_matrix(omega, 3),
-                      lambda: basis_functions(2, omega, np.linspace(-1.0, 1.0, 5))):
+                      lambda: momentum_squared_matrix(omega, 3)):
             with pytest.raises(ValueError):
                 build()
