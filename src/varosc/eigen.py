@@ -23,13 +23,15 @@ Levels are global indices throughout: level center + k is the k-th
 eigenvalue of a block whose basis starts at index center, and every
 EigenSolution carries the global levels its energies belong to.  No dense
 matrix is formed on any path, and energies come back ascending.
+
+scipy is imported inside diagonalize, so it loads on a process's first
+eigensolve: importing varosc, a trace scan and a config check need numpy only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .oscbasis import BasisConfig, HamiltonianMatrix
 
@@ -84,6 +86,8 @@ def diagonalize(h: HamiltonianMatrix, levels: range | None = None) -> EigenSolut
     comes back ascending (even state first on an exact tie), and a sector's
     eigenvector rows are zero on the other parity.
     """
+    from scipy.linalg import eig_banded  # here, not at the top: see the module docstring
+
     center, dim = h.config.center, h.config.dim
     block = range(center, center + dim)
     if levels is not None and (levels.step != 1 or not levels

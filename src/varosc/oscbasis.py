@@ -173,12 +173,18 @@ def basis_functions(cfg: BasisConfig, x) -> np.ndarray:
         h_{n+1}(y) = y sqrt(2/(n+1)) h_n(y) - sqrt(n/(n+1)) h_{n-1}(y)
 
     run from n = 0.  No factorials are formed, and every row stays O(1) times h_0.
+    h_0 is 0.0 in floats past |y| = 38.6, and so then is every row; where y or
+    y^2/2 overflows, y is taken as 0 there, so that the rows are that 0.0 and
+    not inf * 0 = nan.
     """
     alpha = math.sqrt(cfg.omega)
-    y = alpha * (np.atleast_1d(np.asarray(x, dtype=float)) - cfg.sigma)
+    with np.errstate(over="ignore"):
+        y = alpha * (np.atleast_1d(np.asarray(x, dtype=float)) - cfg.sigma)
+        exponent = -0.5 * y * y
+    y[np.isinf(exponent)] = 0.0
     nmax = cfg.center + cfg.dim
     vals = np.zeros((nmax, y.size))
-    vals[0] = math.pi**-0.25 * np.exp(-0.5 * y * y)
+    vals[0] = math.pi**-0.25 * np.exp(exponent)
     if nmax > 1:
         vals[1] = math.sqrt(2.0) * y * vals[0]
         for n in range(1, nmax - 1):

@@ -531,6 +531,24 @@ def test_overflow_past_the_pms_is_numerical_failure(tmp_path, capsys, cfg, named
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_snapshot_point_past_the_float_range_of_y_is_zero(tmp_path):
+    # alpha (x - sigma) overflows at x = 1e308, where h_0 and every phi_n are 0.0
+    evolution = {"initial": "centered", "widths": [0.5], "t_max": 1.0, "t_step": 0.5,
+                 "snapshot_times": [0.0], "x_min": 0, "x_max": 1e308, "x_points": 2}
+    rows = []
+    for points in (2, 1):
+        path = write_config(tmp_path, {"potential": {"kind": "asym_demo"}, "solver": {"dim": 10},
+                                       "evolution": {**evolution, "x_points": points}})
+        out = tmp_path / f"o{points}"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        rows.append((out / "wavefunction_t0.csv").read_text().splitlines())
+    far, near = rows
+    assert far[2] == "1e+308,0,0,0"
+    # the point at x = 0 keeps its bits beside the far one
+    assert far[:2] == near
+
+
 def test_stiff_quartic_spectrum_is_solved(tmp_path):
     # the shipped quartic with m2 = 1e12: PMS frequency ~ m = 1e6, levels
     # ~ m (n + 1/2), far outside any fixed frequency window
@@ -822,11 +840,36 @@ def test_readme_config_table_names_every_field():
     assert documented == accepted
 
 
-def test_cli_import_loads_no_optimizer():
-    # a cold start of the console script pays for no scipy.optimize or
-    # scipy.special import
-    code = ("import sys, varosc.cli; "
-            "sys.exit(any(m in sys.modules for m in ('scipy.optimize', 'scipy.special')))")
+# steps of one fresh process, each followed by the scipy modules it holds
+_COLD_START = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from varosc.cli import main
+
+recipes, out, bad = sys.argv[1:]
+seen = {"import varosc.cli": scipy_modules()}
+for name, argv in [
+    ("trace-scan", ["trace-scan", "--config", recipes + "/quartic_trace_scan.json"]),
+    ("config error", ["spectrum", "--config", bad]),
+    ("spectrum", ["spectrum", "--config", recipes + "/quartic_g1000.json"]),
+]:
+    seen[name] = [main([*argv, "--out", out + "/" + name]), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_to_diagonalize(tmp_path):
+    # importing the console script's module, a trace scan and a config error
+    # load numpy only; the first eigensolve imports scipy.linalg
+    bad = write_config(tmp_path, {"potential": {"kind": "asym_demo"}, "solver": {"dim": 0}})
     src = str(Path(varosc.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                   check=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(RECIPES), str(tmp_path), str(bad)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          check=True, timeout=120)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    spectrum_code, spectrum_modules = seen.pop("spectrum")
+    assert seen == {"import varosc.cli": [], "trace-scan": [0, []], "config error": [2, []]}
+    assert spectrum_code == 0 and "scipy.linalg" in spectrum_modules
