@@ -22,6 +22,7 @@ from varosc import (
     solve_spectrum,
     wavefunction_at,
 )
+from varosc import eigen
 from varosc.oscbasis import HamiltonianMatrix
 
 from oracles import block_levels_mp, dense, lower_bands
@@ -326,6 +327,21 @@ def test_parity_split_only_from_the_lowest_level_of_an_even_block(monkeypatch, p
     assert len(sol.energies) == (60 if levels is None else len(levels))
 
 
+@pytest.mark.parametrize("pot, levels, solves", [
+    (QUARTIC_G1000, range(0, 10), 2),  # one 64-state sub-block per sector
+    (from_double_well(0.5, 4.5), range(0, 10), 4),  # 64 fails, 128 passes, per sector
+    (QUARTIC_G1000, range(0, 800), 2),  # the whole block: no sub-block can serve it
+    (QUARTIC_G1000, range(0, 17), 2),  # top at _CERTIFY_TOP: each sector's bisection
+    (QUARTIC_G1000, range(100, 110), 1),  # mid-block: one bisection of the whole bands
+    (QUARTIC_G1000, range(6, 16), 2),  # 64 fails, 128 passes, on the whole bands
+])
+def test_certified_path_solve_counts_at_n800(monkeypatch, pot, levels, solves):
+    h = assemble_hamiltonian(pot, BasisConfig(dim=800, omega=pms_optimize(pot, 800).omega))
+    calls = count_solves(monkeypatch)
+    assert len(diagonalize(h, levels).energies) == len(levels)
+    assert len(calls) == solves
+
+
 def test_sub_roundoff_doublets_come_back_ascending():
     # lambda = 1, a = 6: the lowest doublet is split by less than roundoff.
     # The ten lowest levels, the doublets, are compared with one unsplit
@@ -340,3 +356,112 @@ def test_sub_roundoff_doublets_come_back_ascending():
         got = diagonalize(h, levels).energies
         assert np.all(np.diff(got) >= 0.0)
         assert np.max(np.abs(got[:10] - unsplit[:10])) <= tol
+
+
+# -------------------------------------------------------- certified low levels
+
+def sweep_blocks(seed, count):
+    """Seeded quartics, double wells and sextics at sigma = 0 (split into
+    parity sectors) and sigma != 0 quartics (one unsplit block), each at its
+    PMS omega and at least _CERTIFY_MIN states per sector."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind, sigma = i % 4, 0.0
+        n = int(rng.choice([2 * eigen._CERTIFY_MIN, 600, 800]))
+        if kind == 0:
+            pot = from_quartic(1.0, float(np.exp(rng.uniform(np.log(1e-2), np.log(1e4)))))
+        elif kind == 1:
+            pot = from_double_well(float(np.exp(rng.uniform(np.log(0.1), np.log(2.0)))),
+                                   float(rng.uniform(3.0, 6.0)))
+        elif kind == 2:
+            pot = PolynomialPotential((0.0, 0.0, float(rng.uniform(-2.0, 2.0)), 0.0,
+                                       float(rng.uniform(-1.0, 1.0)), 0.0,
+                                       float(rng.uniform(0.01, 1.0))))
+        else:
+            pot = PolynomialPotential((0.0, float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.1, 2.0)),
+                                       float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 5.0))))
+            sigma, n = float(rng.uniform(-1.0, 1.0)), int(rng.choice([eigen._CERTIFY_MIN, 300, 400]))
+        h = assemble_hamiltonian(pot, BasisConfig(dim=n, omega=pms_optimize(pot, n).omega,
+                                                  sigma=sigma))
+        assert (sigma == 0.0) == (not h.bands[1::2].any())
+        yield h
+
+
+def test_certified_levels_lie_in_their_brackets():
+    # the lower end's margin is at least eps ||A||, the rounding of the
+    # sub-block's own solve; the bisection of the whole sector may sit
+    # that much above the upper end (measured: up to 0.25 bracket widths
+    # over seeds 100-105), so it must lie within one width of either end
+    certified = sectors = 0
+    for h in sweep_blocks(71, 24):
+        split = not h.bands[1::2].any()
+        served = []
+        for bands in ([h.bands[0::2, 0::2], h.bands[0::2, 1::2]] if split else [h.bands]):
+            sectors += 1
+            bracket = eigen._certified_levels(bands, 0, 9)
+            whole = eig_banded(bands, lower=True, eigvals_only=True, select="i", select_range=(0, 9))
+            if bracket is None:
+                served.append(whole)
+                continue
+            certified += 1
+            lower, upper = bracket
+            served.append(upper)
+            assert np.all(lower < upper) and np.all(lower[1:] > upper[:-1])
+            assert np.all(whole >= lower) and np.all(whole - upper <= upper - lower)
+        # diagonalize serves each sector by its helper, or by the whole sector's bisection
+        got = diagonalize(h, range(10)).energies
+        assert np.array_equal(got, np.sort(np.concatenate(served), kind="stable")[:10])
+    print(f"{certified} of {sectors} sectors certified")
+    assert certified >= 0.7 * sectors
+
+
+def test_certified_levels_match_30_digit_eigenvalues(monkeypatch):
+    # the odd sector of the slow-roll well, 100 states at the PMS omega of
+    # N = 100, where a sub-block of 16 or 32 states passes levels 0..9.
+    # The 30-digit levels lie above every lower end and within one bracket
+    # width of the upper end, which carries the rounding of the sub-block's
+    # solve, and the certified levels meet the bound the other 30-digit tests
+    # set for the whole-sector paths.
+    # Measured in eps of max(1, |E|): 3.3 for both here; on the even sector of
+    # quartic_g1000 the certified 3.2 against the whole sector's 2.7 (one
+    # 30-digit solve of 100 states takes 2-3 s, so the suite runs one)
+    h = assemble_hamiltonian(SLOW_ROLL, BasisConfig(dim=200, omega=pms_optimize(SLOW_ROLL, 100).omega))
+    bands = np.ascontiguousarray(h.bands[0::2, 1::2])
+    want = block_levels_mp(bands)[:10]
+    monkeypatch.setattr(eigen, "_LEAD_START", 16)
+    lower, upper = eigen._certified_levels(bands, 0, 9)
+    whole = eig_banded(bands, lower=True, eigvals_only=True, select="i", select_range=(0, 9))
+    assert np.all(want >= lower) and np.all(want - upper <= upper - lower)
+    errs = [np.max(np.abs(e - want) / np.maximum(1.0, np.abs(want))) for e in (upper, whole)]
+    print(f"certified {errs[0]:.1e}, whole sector {errs[1]:.1e} of max(1, |E|)")
+    assert max(errs) <= 2e-15
+
+
+def test_unconverged_sub_block_is_not_certified():
+    # the even sector of this double well at N = 400 holds 200 states, and its
+    # 64-state block is short of level 9 by more than a margin of
+    # 8 eps max(1, |E|): a bisection of that block off by more than the
+    # margin made such a margin alone pass it, so the margin also covers
+    # eps ||A|| and the LU's determinant sign must agree with the count
+    pot = from_double_well(0.9773865070289698, 4.904283187622916)
+    h = assemble_hamiltonian(pot, BasisConfig(dim=400, omega=pms_optimize(pot, 400).omega))
+    bands = h.bands[0::2, 0::2]
+    lead = eig_banded(lower_bands(dense(h)[0::2, 0::2][:64, :64]), lower=True,
+                      eigvals_only=True, select="i", select_range=(0, 9))
+    whole = eig_banded(bands, lower=True, eigvals_only=True, select="i", select_range=(0, 9))
+    print(f"the 64-state block is {lead[9] - whole[9]:.1e} short of level 9")
+    assert lead[9] - whole[9] > 100 * 8 * EPS * max(1.0, abs(whole[9]))
+    assert eigen._certified_levels(bands, 0, 9) is None
+
+
+def test_uncertifiable_doublets_fall_back_to_the_whole_block_bits(monkeypatch):
+    # lambda = 1, a = 6 at sigma = 0, asked for levels 1..9: a request that
+    # does not start at level 0 is one unsplit solve, and the lowest doublet
+    # is split by less than any margin, so no sub-block passes level 1
+    pot = from_double_well(1.0, 6.0)
+    h = assemble_hamiltonian(pot, BasisConfig(dim=800, omega=pms_optimize(pot, 800).omega))
+    assert eigen._certified_levels(h.bands, 1, 9) is None
+    whole = eig_banded(h.bands, lower=True, eigvals_only=True, select="i", select_range=(1, 9))
+    calls = count_solves(monkeypatch)
+    assert np.array_equal(diagonalize(h, range(1, 10)).energies, whole)
+    assert len(calls) == 4  # sub-blocks of 64, 128 and 256 states, then the whole block

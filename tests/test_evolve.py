@@ -7,6 +7,7 @@ from numpy.polynomial.polynomial import polyval
 
 from varosc import (
     BasisConfig,
+    EigenSolution,
     InitialGaussian,
     PolynomialPotential,
     asym_demo,
@@ -217,19 +218,14 @@ def test_rotation_matches_linear_solve():
     np.testing.assert_allclose(state.a, a_solve, atol=1e-11)
 
 
-def test_rotation_rejects_broken_orthonormality():
-    state, rep = slowroll_state(10)
-    sol = rep.solution
+def test_solution_rejects_broken_orthonormality():
+    # the Gram check runs once, when the solution is made, not per rotation
+    sol = solve_spectrum(DWELL, 10).solution
     bad_vectors = sol.vectors.copy()
     bad_vectors[0] *= 1.0 + 1e-6
-    from varosc.eigen import EigenSolution
-
-    bad = EigenSolution(energies=sol.energies.copy(), vectors=bad_vectors,
-                        config=sol.config, levels=sol.levels)
-    c = np.zeros(10)
-    c[0] = 1.0
-    with pytest.raises(ValueError):
-        make_evolution(c, bad)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        EigenSolution(energies=sol.energies.copy(), vectors=bad_vectors,
+                      config=sol.config, levels=sol.levels)
     with pytest.raises(ValueError):
         make_evolution(np.zeros(7), sol)
 
